@@ -15,9 +15,9 @@ The paper's mechanically-aided proof has four steps, all reproduced here:
    the difference numerator (we additionally run a Sturm count, which is
    exact and unconditional).
 
-Step 3 works for every n in 3..20 in milliseconds; step 4 requires the
-symbolic solve and is kept optional (it is exercised for moderate *n* in
-the tests and available at any *n* for patient callers).
+Step 3 takes about 70 ms at n = 20 (2-core x86_64 VM, CPython 3.11); step
+4 requires the symbolic solve and is kept optional (it is exercised for
+moderate *n* in the tests and available at any *n* for patient callers).
 """
 
 from __future__ import annotations

@@ -7,6 +7,19 @@ import pytest
 from repro.analysis import PAPER_CROSSOVERS, Theorem3Proof, theorem3_proof
 from repro.errors import AnalysisError
 
+#: ``theorem3_proof(5).transcript()`` as first produced with the dense
+#: symbolic solver, byte for byte.
+PROOF5_TRANSCRIPT = """\
+Theorem 3, n = 5:
+  availability difference numerator (degree 8):
+    5/3*r^8 + 235/36*r^7 + 949/90*r^6 + 1453/216*r^5 - 46/135*r^4 \
+- 601/216*r^3 - 1663/1080*r^2 - 131/360*r - 1/30
+  Descartes sign changes: 1 (one change => at most one positive root)
+  Sturm positive-root count: 1
+  certified bracket: difference(12089/19200) < 0 < difference(51653/81920)
+  hence hybrid > dynamic-linear iff mu/lambda >= 0.630
+  paper's value: 0.63"""
+
 
 @pytest.fixture(scope="module")
 def proof5():
@@ -35,6 +48,9 @@ class TestProofConstruction:
         assert "Descartes" in text
         assert "Sturm" in text
         assert "0.63" in text
+
+    def test_transcript_is_pinned(self, proof5):
+        assert proof5.transcript() == PROOF5_TRANSCRIPT
 
     def test_small_n_rejected(self):
         with pytest.raises(AnalysisError):

@@ -1,5 +1,7 @@
 """Tests for the table and figure generators (experiments E4-E7)."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro.analysis import (
@@ -15,12 +17,39 @@ from repro.analysis import (
 )
 from repro.errors import AnalysisError
 
+#: Theorem 3's exactly verified brackets (low, high), n = 3..20, as first
+#: computed with the dense exact solver.  Any change to them is a change
+#: to the reproduced table.
+THEOREM3_BRACKETS = {
+    3: (Fraction(102, 125), Fraction(817, 1000)),
+    4: (Fraction(133, 200), Fraction(333, 500)),
+    5: (Fraction(629, 1000), Fraction(63, 100)),
+    6: (Fraction(633, 1000), Fraction(317, 500)),
+    7: (Fraction(659, 1000), Fraction(33, 50)),
+    8: (Fraction(699, 1000), Fraction(7, 10)),
+    9: (Fraction(187, 250), Fraction(749, 1000)),
+    10: (Fraction(401, 500), Fraction(803, 1000)),
+    11: (Fraction(429, 500), Fraction(859, 1000)),
+    12: (Fraction(911, 1000), Fraction(114, 125)),
+    13: (Fraction(24, 25), Fraction(961, 1000)),
+    14: (Fraction(251, 250), Fraction(201, 200)),
+    15: (Fraction(1043, 1000), Fraction(261, 250)),
+    16: (Fraction(1077, 1000), Fraction(539, 500)),
+    17: (Fraction(277, 250), Fraction(1109, 1000)),
+    18: (Fraction(227, 200), Fraction(142, 125)),
+    19: (Fraction(1159, 1000), Fraction(29, 25)),
+    20: (Fraction(1181, 1000), Fraction(591, 500)),
+}
+
 
 class TestTheorem3Table:
-    def test_sampled_rows_match_paper(self):
-        rows = theorem3_table(n_values=(3, 5, 10, 20))
-        assert [row.n_sites for row in rows] == [3, 5, 10, 20]
-        assert all(row.matches for row in rows)
+    def test_all_rows_pinned_verified_and_match_paper(self):
+        rows = theorem3_table()
+        assert [row.n_sites for row in rows] == list(range(3, 21))
+        for row in rows:
+            bracket = (row.crossover.low, row.crossover.high)
+            assert bracket == THEOREM3_BRACKETS[row.n_sites], row.n_sites
+            assert row.matches and row.crossover.verified, row.n_sites
 
     def test_out_of_range_n_rejected(self):
         with pytest.raises(AnalysisError):
