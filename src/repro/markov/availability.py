@@ -1,12 +1,12 @@
 """Unified availability API over all protocols (Section VI-C measures).
 
 Dispatches each protocol name to its analytic machinery -- a closed
-binomial form for the static protocols, the hand-built Markov chain for the
-dynamic family -- and exposes the three precision levels (float, exact
-rational, symbolic rational function) plus the normalised measure used in
-Figs. 3 and 4: availability divided by ``p = r/(1+r)``, the probability an
-arbitrary site is up, which upper-bounds every algorithm under the site
-measure.
+binomial form for the static protocols, the lumped Markov chain derived
+from the protocol code for the dynamic family -- and exposes the three
+precision levels (float, exact rational, symbolic rational function) plus
+the normalised measure used in Figs. 3 and 4: availability divided by
+``p = r/(1+r)``, the probability an arbitrary site is up, which
+upper-bounds every algorithm under the site measure.
 """
 
 from __future__ import annotations
@@ -81,11 +81,12 @@ def _chain(protocol_name: str, n: int) -> ChainSpec:
     (:data:`repro.markov.lumping.LUMP_SIGNATURES`), the chain is derived
     directly from the protocol implementation with one representative
     per block: O(n) states at any n, which is what carries the
-    availability curves to n=25-50.  Protocols without a signature fall
-    through to the hand-built :func:`chain_for` transparently, as does
-    any instance the derivation rejects (e.g. an n below the protocol's
-    minimum) -- the pipeline is a strict superset of the old path, and
-    the lumped-vs-hand-built equality is pinned by the tests.
+    availability curves to n=25-50.  Protocols without a signature use
+    the hand-built :func:`chain_for`, and so does an n below 3 that the
+    derivation rejects, where :func:`chain_for` explains the protocol's
+    minimum.  At n >= 3 a derivation error propagates: falling back there
+    would hide a protocol or builder fault behind the hand-built chain.
+    The lumped-vs-hand-built equality is pinned by the tests.
     """
     signature = signature_for(protocol_name)
     if signature is None:
@@ -96,6 +97,8 @@ def _chain(protocol_name: str, n: int) -> ChainSpec:
             protocol, signature, name=f"lumped:{protocol_name}[n={n}]"
         )
     except ReproError:
+        if n >= 3:
+            raise
         registry = global_registry()
         if registry.enabled:
             registry.counter("markov.build.fallback").inc()

@@ -26,8 +26,8 @@ what the validation tests assert.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Hashable, Mapping, Sequence
 from fractions import Fraction
-from collections.abc import Callable, Hashable
 
 from ..core.base import ReplicaControlProtocol
 from ..core.decision import UpdateContext
@@ -94,6 +94,41 @@ def _successor(
     return (new_up, new_up, outcome.metadata.with_version(_CURRENT_VERSION))
 
 
+def _move(
+    protocol: ReplicaControlProtocol, config: Configuration, site: SiteId
+) -> Configuration:
+    """The configuration after ``site`` fails (if up) or is repaired."""
+    up = config[0]
+    if site in up:
+        return _successor(protocol, config, up - {site}, site)
+    return _successor(protocol, config, up | {site}, None)
+
+
+def _roles(
+    sites: Sequence[SiteId],
+    config: Configuration,
+    classes: Mapping[SiteId, Hashable] | None,
+) -> list[list[SiteId]]:
+    """Group ``sites`` by role in ``config``, in order of each role's first site.
+
+    A role is what a lumping signature can see of one site: up or down,
+    current or stale, in the DS list or not (for :class:`ReplicaMetadata`),
+    and the site's class label when the signature lumps by class.
+    """
+    up, current, meta = config
+    distinguished = meta.distinguished if isinstance(meta, ReplicaMetadata) else ()
+    roles: dict[tuple[bool, bool, bool, Hashable], list[SiteId]] = {}
+    for site in sites:
+        key = (
+            site in up,
+            site in current,
+            site in distinguished,
+            None if classes is None else classes[site],
+        )
+        roles.setdefault(key, []).append(site)
+    return list(roles.values())
+
+
 def _observe_build(kind: str, *, states: int, arcs: int, expansions: int) -> None:
     """Build telemetry: legacy ``markov.builder.*`` totals plus the
     per-path ``markov.build.<kind>.*`` series (docs/OBSERVABILITY.md)."""
@@ -135,12 +170,8 @@ def derive_chain(
         up = config[0]
         expansions += 1
         for site in sites:
-            if site in up:
-                successor = _successor(protocol, config, up - {site}, site)
-                slot = 0
-            else:
-                successor = _successor(protocol, config, up | {site}, None)
-                slot = 1
+            successor = _move(protocol, config, site)
+            slot = 0 if site in up else 1
             target = index.get(successor)
             if target is None:
                 if len(index) >= max_states:
@@ -184,19 +215,29 @@ def derive_lumped_chain(
     """Derive the *lumped* chain directly, one representative per block.
 
     Explores a single representative configuration per ``signature``
-    label; each representative's n site failure/repair moves supply its
+    label; the representative's site failure/repair moves supply its
     block's aggregated outgoing rates.  That is sound exactly when the
     signature is strongly lumpable for the protocol -- every state of a
     block shares the same aggregated block rates, which is the property
     :func:`repro.markov.lumping.lump_chain` verifies exhaustively and the
     tests pin by comparing the two constructions at small n.
 
-    The payoff is the pipeline's scaling law: O(blocks * n) protocol
-    calls instead of the site-labelled 2^n explosion, which is what makes
-    n=25-50 availability tractable (docs/PERFORMANCE.md).
+    Sites of one role (:func:`_roles`; a class signature's ``site_classes``
+    map adds the class label) are exchangeable, so the first member's move
+    stands for all of them, weighted by the role's size.  Roles are
+    visited in order of their first site, so blocks, representatives and
+    arcs appear in the same order as a loop over all n sites would give.
+    The last member of every larger role is moved too, and a different
+    target block raises :class:`ChainError`.
+
+    The payoff is the pipeline's scaling law: O(blocks * roles) protocol
+    calls, each over an n-site copy map, instead of the site-labelled 2^n
+    explosion, which is what makes n=25-50 availability tractable
+    (docs/PERFORMANCE.md).
     """
     initial = _initial_configuration(protocol)
     sites = sorted(protocol.sites)
+    classes: Mapping[SiteId, Hashable] | None = getattr(signature, "site_classes", None)
     n = protocol.n_sites
     first = signature(initial)
     index: dict[Hashable, int] = {first: 0}
@@ -214,14 +255,17 @@ def derive_lumped_chain(
         if up and up == current:
             weights[label] = Fraction(len(up), n)
         outgoing: dict[int, list[int]] = {}
-        for site in sites:
-            if site in up:
-                successor = _successor(protocol, config, up - {site}, site)
-                slot = 0
-            else:
-                successor = _successor(protocol, config, up | {site}, None)
-                slot = 1
+        for members in _roles(sites, config, classes):
+            site = members[0]
+            successor = _move(protocol, config, site)
             target_label = signature(successor)
+            if len(members) > 1:
+                last = members[-1]
+                if signature(_move(protocol, config, last)) != target_label:
+                    raise ChainError(
+                        f"sites {site} and {last} share a role in block "
+                        f"{label!r} but move to different blocks"
+                    )
             if target_label == label:
                 continue  # internal moves vanish in the lumped chain
             target = index.get(target_label)
@@ -236,7 +280,7 @@ def derive_lumped_chain(
                 order.append(target_label)
                 representatives.append(successor)
             entry = outgoing.setdefault(target, [0, 0])
-            entry[slot] += 1
+            entry[0 if site in up else 1] += len(members)
         for target, (fails, repairs) in outgoing.items():
             arcs[(source, target)] = (fails, repairs)
     _observe_build(
@@ -268,22 +312,15 @@ def verify_stale_partitions_blocked(
 
     Raises ``AssertionError`` on a violation.
     """
-    import itertools
-
     initial = _initial_configuration(protocol)
     seen: set[Configuration] = {initial}
     frontier: list[Configuration] = [initial]
     sites = sorted(protocol.sites)
     while frontier:
         config = frontier.pop()
-        up = config[0]
         for site in sites:
-            if site in up:
-                new_up = up - {site}
-                successor = _successor(protocol, config, new_up, site)
-            else:
-                new_up = up | {site}
-                successor = _successor(protocol, config, new_up, None)
+            successor = _move(protocol, config, site)
+            new_up = successor[0]
             accepted = successor[1] == new_up and bool(new_up)
             if accepted:
                 _check_leftovers(protocol, config, successor)

@@ -17,8 +17,8 @@ labels.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from collections.abc import Callable, Hashable, Mapping
+from fractions import Fraction
 
 from ..core.metadata import ReplicaMetadata
 from ..errors import ChainError
@@ -194,6 +194,32 @@ def voting_signature(config: Configuration) -> tuple:
     return ("U", len(up))
 
 
+class _ClassSignature:
+    """Per-class ``(|up|, |cur|, |up & cur|)`` counts; see :func:`class_signature`."""
+
+    def __init__(self, classes: Mapping[SiteId, Hashable]) -> None:
+        self.site_classes: dict[SiteId, Hashable] = dict(classes)
+        grouped: dict[Hashable, set[SiteId]] = {}
+        for site, label in classes.items():
+            grouped.setdefault(label, set()).add(site)
+        self._ordered = tuple(
+            (label, frozenset(members))
+            for label, members in sorted(grouped.items(), key=lambda kv: str(kv[0]))
+        )
+
+    def __call__(self, config: Configuration) -> tuple:
+        up, current, _ = config
+        return tuple(
+            (
+                label,
+                len(up & members),
+                len(current & members),
+                len(up & current & members),
+            )
+            for label, members in self._ordered
+        )
+
+
 def class_signature(
     classes: Mapping[SiteId, Hashable],
 ) -> Callable[[Configuration], tuple]:
@@ -207,28 +233,12 @@ def class_signature(
     sound for weight policies that break class symmetry (LinearBonus and
     TrioFreeze single out the greatest participant); for those
     :func:`lump_chain`'s exhaustive verification rejects the partition.
+
+    The returned signature exposes the map as ``site_classes``, which
+    :func:`repro.markov.builder.derive_lumped_chain` reads to keep sites
+    of different classes in different roles.
     """
-    grouped: dict[Hashable, set[SiteId]] = {}
-    for site, label in classes.items():
-        grouped.setdefault(label, set()).add(site)
-    ordered = tuple(
-        (label, frozenset(members))
-        for label, members in sorted(grouped.items(), key=lambda kv: str(kv[0]))
-    )
-
-    def signature(config: Configuration) -> tuple:
-        up, current, _ = config
-        return tuple(
-            (
-                label,
-                len(up & members),
-                len(current & members),
-                len(up & current & members),
-            )
-            for label, members in ordered
-        )
-
-    return signature
+    return _ClassSignature(classes)
 
 
 #: Strongly lumpable signature per registry protocol name -- the

@@ -8,6 +8,7 @@ every registered signature, and the default ``availability`` pipeline
 must be indistinguishable from the hand-built chains it replaced.
 """
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -128,6 +129,27 @@ class TestDefaultPipeline:
     def test_chain_is_lumped(self, protocol):
         chain = _chain(protocol, 5)
         assert chain.name == f"lumped:{protocol}[n=5]"
+
+    def test_derivation_error_propagates_at_three_sites_or_more(
+        self, monkeypatch
+    ):
+        """A builder fault is raised, not replaced by the hand-built chain."""
+
+        def broken(*args, **kwargs):
+            raise ChainError("builder fault")
+
+        module = importlib.import_module("repro.markov.availability")
+        monkeypatch.setattr(module, "derive_lumped_chain", broken)
+        registry = MetricsRegistry()
+        with use(registry), pytest.raises(ChainError, match="builder fault"):
+            availability("hybrid", 5, 2.0)
+        assert "markov.build.fallback" not in registry.snapshot()
+
+    def test_below_three_sites_falls_back_to_hand_built_message(self):
+        registry = MetricsRegistry()
+        with use(registry), pytest.raises(ChainError, match="needs n >= 3"):
+            _chain("hybrid", 2)
+        assert registry.snapshot()["markov.build.fallback"]["value"] == 1
 
     def test_unsignatured_protocol_falls_through(self):
         chain = _chain("primary-site-voting", 5)
