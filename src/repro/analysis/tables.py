@@ -13,8 +13,8 @@ set at fixed *n*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from ..errors import AnalysisError
 from ..markov import availability

@@ -18,9 +18,9 @@ the third.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Sequence
 
 from ..core.registry import make_protocol
 from ..errors import AnalysisError

@@ -27,9 +27,9 @@ perf-gate job fails the build on any hard regression
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from collections.abc import Iterable, Mapping, Sequence
 
 from ..errors import BenchError
 from .history import latest_per_scenario

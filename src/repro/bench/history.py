@@ -18,8 +18,8 @@ schemas).
 from __future__ import annotations
 
 import json
-from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
+from pathlib import Path
 
 from ..errors import BenchError
 from .record import RUN_SCHEMA_VERSION, BenchRecord, dump_run, load_run

@@ -23,8 +23,8 @@ gate (docs/BENCHMARKING.md).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field
 
 from ..errors import BenchError
 from ..obs import clock

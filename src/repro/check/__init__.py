@@ -13,7 +13,8 @@ every reachable state:
 * :mod:`.oracles` -- the invariant catalog (fork freedom, participant
   exclusivity, distinguished-partition mutual exclusion, VN monotonicity,
   durable commit chains, lock safety);
-* :mod:`.explorer` -- depth-bounded DFS with sleep sets + state caching;
+* :mod:`.explorer` -- depth-bounded DFS with sleep sets, state caching
+  and a memo of the transitions already taken;
 * :mod:`.counterexample` -- minimization and replayable JSONL schedules;
 * :mod:`.runner` -- the ``repro check`` CLI.
 

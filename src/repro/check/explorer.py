@@ -1,4 +1,4 @@
-"""Depth-bounded exhaustive exploration with sleep sets and state caching.
+"""Depth-bounded exhaustive exploration: sleep sets, state caching, a memo.
 
 The explorer walks every schedule (sequence of
 :mod:`~repro.check.actions`) up to a depth bound, depth-first and in
@@ -22,9 +22,21 @@ violation within the bound:
   visits into a single pair would be unsound, so dominated pairs are kept
   pruned but incomparable ones accumulate.
 
-Backtracking restores states by replaying the schedule prefix on a fresh
-harness (see :mod:`~repro.check.harness` for why live state cannot be
-deep-copied).
+Incomparable visits make the walk expand a state again, and the second
+expansion takes transitions the first one already took.  So each distinct
+state keeps one record, keyed by its snapshot: its visit list, its enabled
+actions, and the record each action led to once taken.  A transition
+taken before costs no harness work: its child snapshot is the record's
+key, and its oracles, which read only the child and parent snapshots,
+passed when it was first taken (a violation ends the walk).  The memo
+assumes nothing the state cache does not: equal snapshots have equal
+futures.
+
+The live harness moves only when a transition is taken for the first
+time.  It follows the current schedule forward while it can; once the
+walk has backtracked past it, it is restored by replaying the schedule
+prefix on a fresh cluster (see :mod:`~repro.check.harness` for why live
+state cannot be deep-copied).
 """
 
 from __future__ import annotations
@@ -86,7 +98,7 @@ class CheckResult:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class _Visit:
     """One exploration of a state: remaining budget and sleep set."""
 
@@ -96,6 +108,20 @@ class _Visit:
     def covers(self, depth: int, sleep: frozenset[Action]) -> bool:
         """Whether this prior visit already explored at least as much."""
         return depth >= self.depth and sleep >= self.sleep
+
+
+@dataclass(eq=False, slots=True)
+class _State:
+    """One distinct state: its visits, enabled actions and taken transitions.
+
+    ``successors[i]`` is the record that ``enabled[i]`` leads to, once that
+    transition has been taken.
+    """
+
+    snapshot: ClusterSnapshot
+    visits: list[_Visit] = field(default_factory=list)
+    enabled: tuple[Action, ...] = ()
+    successors: list[_State | None] = field(default_factory=list)
 
 
 @dataclass
@@ -110,71 +136,105 @@ class Explorer:
     def run(self) -> CheckResult:
         """Explore and return the (deterministic) result."""
         self._harness = CheckHarness(self.config)
-        self._visited: dict[ClusterSnapshot, list[_Visit]] = {}
+        self._states: dict[ClusterSnapshot, _State] = {}
+        self._schedule: list[Action] = []
+        # The harness reflects self._schedule[: self._at]; -1 once the walk
+        # has backtracked past the actions it applied.
+        self._at = 0
         self._result = CheckResult(config=self.config, depth=self.depth)
-        self._dfs([], 0, frozenset(), None)
-        self._result.states = len(self._visited)
+        root = self._arrive(None)
+        if root is not None and self._visit(root, 0, frozenset()):
+            self._expand(root, 0, frozenset())
+        self._result.states = len(self._states)
         return self._result
 
     # ------------------------------------------------------------------ #
     # DFS
     # ------------------------------------------------------------------ #
 
-    def _dfs(
-        self,
-        schedule: list[Action],
-        depth: int,
-        sleep: frozenset[Action],
-        previous: ClusterSnapshot | None,
-    ) -> bool:
-        """Explore from the harness's current state; True aborts the walk."""
+    def _expand(self, state: _State, depth: int, sleep: frozenset[Action]) -> bool:
+        """Explore the successors of one visit; True aborts the walk."""
         result = self._result
-        snapshot = self._harness.snapshot()
-        violation = check_oracles(self.oracles, self._harness, snapshot, previous)
-        if violation is not None:
-            result.violation = violation
-            result.schedule = tuple(schedule)
-            return True
-        visits = self._visited.get(snapshot)
-        if visits is not None:
-            if any(v.covers(depth, sleep) for v in visits):
-                result.cache_pruned += 1
-                return False
-            visits[:] = [
-                v
-                for v in visits
-                if not (depth <= v.depth and sleep <= v.sleep)
-            ]
-            visits.append(_Visit(depth, sleep))
-        else:
-            self._visited[snapshot] = [_Visit(depth, sleep)]
-            if self.max_states is not None and len(self._visited) > self.max_states:
-                result.truncated = True
-                return True
-        enabled = self._harness.enabled_actions()
+        enabled = state.enabled
         if not enabled:
             result.quiescent_states += 1
             return False
         if depth >= self.depth:
             result.frontier_cutoffs += 1
             return False
-        explore = [a for a in enabled if a not in sleep]
+        explore = [
+            (index, action)
+            for index, action in enumerate(enabled)
+            if action not in sleep
+        ]
         result.sleep_pruned += len(enabled) - len(explore)
+        schedule = self._schedule
         explored: list[Action] = []
-        for position, action in enumerate(explore):
-            if position > 0:
-                self._harness.replay(schedule)
+        for index, action in explore:
             child_sleep = frozenset(
                 {b for b in sleep if independent(action, b)}
                 | {b for b in explored if independent(action, b)}
             )
-            if not self._harness.apply(action):  # pragma: no cover - invariant
-                raise CheckError(f"enabled action failed to apply: {action!r}")
             result.transitions += 1
             schedule.append(action)
-            stop = self._dfs(schedule, depth + 1, child_sleep, snapshot)
+            child = state.successors[index]
+            if child is None:
+                child = self._take(state, index)
+            stop = child is None or (
+                self._visit(child, depth + 1, child_sleep)
+                and self._expand(child, depth + 1, child_sleep)
+            )
             schedule.pop()
+            if self._at > len(schedule):
+                self._at = -1
             if stop:
                 return True
             explored.append(action)
         return False
+
+    def _take(self, state: _State, index: int) -> _State | None:
+        """Apply a transition never taken before; None aborts the walk."""
+        harness = self._harness
+        length = len(self._schedule) - 1
+        if self._at < 0:
+            harness.replay(self._schedule[:length])
+        else:
+            for action in self._schedule[self._at : length]:
+                harness.apply(action)
+        action = state.enabled[index]
+        if not harness.apply(action):  # pragma: no cover - invariant
+            raise CheckError(f"enabled action failed to apply: {action!r}")
+        self._at = length + 1
+        child = self._arrive(state.snapshot)
+        state.successors[index] = child
+        return child
+
+    def _arrive(self, previous: ClusterSnapshot | None) -> _State | None:
+        """Check the harness's state and find its record; None aborts."""
+        harness = self._harness
+        result = self._result
+        snapshot = harness.snapshot()
+        violation = check_oracles(self.oracles, harness, snapshot, previous)
+        if violation is not None:
+            result.violation = violation
+            result.schedule = tuple(self._schedule)
+            return None
+        state = self._states.get(snapshot)
+        if state is None:
+            state = self._states[snapshot] = _State(snapshot)
+            if self.max_states is not None and len(self._states) > self.max_states:
+                result.truncated = True
+                return None
+            state.enabled = tuple(harness.enabled_actions())
+            state.successors = [None] * len(state.enabled)
+        return state
+
+    def _visit(self, state: _State, depth: int, sleep: frozenset[Action]) -> bool:
+        """Record a visit; False (cache-pruned) if an earlier one covers it."""
+        visits = state.visits
+        if any(v.covers(depth, sleep) for v in visits):
+            self._result.cache_pruned += 1
+            return False
+        visits[:] = [v for v in visits if not (depth <= v.depth and sleep <= v.sleep)]
+        visits.append(_Visit(depth, sleep))
+        return True

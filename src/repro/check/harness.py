@@ -148,6 +148,9 @@ class CheckHarness:
     def __init__(self, config: CheckConfig, *, causal: bool = False) -> None:
         self.config = config
         self._causal = causal
+        self._workload = config.workload()
+        self._value_keys: dict[str, str] = {}
+        self._actions: dict[tuple, Action] = {}
         self.reset()
 
     # ------------------------------------------------------------------ #
@@ -220,44 +223,54 @@ class CheckHarness:
     # ------------------------------------------------------------------ #
 
     def enabled_actions(self) -> list[Action]:
-        """All actions applicable in the current state, in canonical order."""
+        """All actions applicable in the current state, in canonical order.
+
+        An action is built once per harness: equal actions are one object.
+        """
         topology = self.cluster.topology
         actions: list[Action] = []
-        for index, (site, _value) in enumerate(self.config.workload()):
+        for index, (site, _value) in enumerate(self._workload):
             if index not in self._submitted and topology.is_up(site):
-                actions.append(SubmitOp(index, site))
+                actions.append(self._action(SubmitOp, index, site))
         deliveries = sorted({p.key for p in self._pending})
         actions.extend(
-            Deliver(src, dst, mtype, run_id, payload)
+            self._action(Deliver, src, dst, mtype, run_id, payload)
             for (mtype, run_id, src, dst, payload) in deliveries
         )
-        actions.extend(
-            FireTimer(kind, run_id, site)
-            for (kind, run_id, site) in sorted(self._timers)
-        )
+        actions.extend(self._action(FireTimer, *key) for key in sorted(self._timers))
         if self._crashes_left > 0:
             actions.extend(
-                CrashSite(s) for s in sorted(topology.sites) if topology.is_up(s)
+                self._action(CrashSite, s)
+                for s in sorted(topology.sites)
+                if topology.is_up(s)
             )
         if self._recoveries_left > 0:
             actions.extend(
-                RecoverSite(s)
+                self._action(RecoverSite, s)
                 for s in sorted(topology.sites)
                 if not topology.is_up(s)
             )
         if self._cuts_left > 0:
             actions.extend(
-                CutLink(a, b)
+                self._action(CutLink, a, b)
                 for (a, b) in sorted(topology.links)
                 if topology.link_is_up(a, b)
             )
         if self._heals_left > 0:
             actions.extend(
-                HealLink(a, b)
+                self._action(HealLink, a, b)
                 for (a, b) in sorted(topology.links)
                 if not topology.link_is_up(a, b)
             )
         return actions
+
+    def _action(self, kind: type, *fields: object) -> Action:
+        """The harness's one ``kind(*fields)`` action object."""
+        key = (kind, *fields)
+        action = self._actions.get(key)
+        if action is None:
+            action = self._actions[key] = kind(*fields)
+        return action
 
     # ------------------------------------------------------------------ #
     # Applying actions
@@ -267,7 +280,7 @@ class CheckHarness:
         """Apply one action; False (state unchanged) if it is not enabled."""
         topology = self.cluster.topology
         if isinstance(action, SubmitOp):
-            workload = self.config.workload()
+            workload = self._workload
             if (
                 action.index in self._submitted
                 or action.index >= len(workload)
@@ -364,7 +377,7 @@ class CheckHarness:
                             run_id,
                             True,
                             metadata_key(commit.metadata),
-                            value_key(commit.value),
+                            self._value_key(commit.value),
                             tuple(sorted(commit.participants)),
                         )
                     )
@@ -372,9 +385,9 @@ class CheckHarness:
                 (
                     s,
                     metadata_key(node.metadata),
-                    value_key(node.value),
+                    self._value_key(node.value),
                     tuple(
-                        (a.version, value_key(a.value), a.run_id)
+                        (a.version, self._value_key(a.value), a.run_id)
                         for a in node.history
                     ),
                     tuple(decisions),
@@ -400,7 +413,7 @@ class CheckHarness:
                         for voter, md in sorted(run._votes.items())
                     ),
                     metadata_key(run._pending_metadata),
-                    value_key(run.value),
+                    self._value_key(run.value),
                 )
             )
         finished = tuple(
@@ -422,7 +435,12 @@ class CheckHarness:
             ),
             ops_remaining=tuple(
                 i
-                for i in range(len(self.config.workload()))
+                for i in range(len(self._workload))
                 if i not in self._submitted
             ),
         )
+
+    def _value_key(self, value: object) -> str:
+        """:func:`~repro.check.state.value_key`, one string per distinct key."""
+        key = value_key(value)
+        return self._value_keys.setdefault(key, key)

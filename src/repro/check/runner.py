@@ -26,7 +26,9 @@ __all__ = ["configure_parser", "run_from_args", "quick_config"]
 
 #: The --quick preset: calibrated so every registered protocol at n=3
 #: exhausts deterministically in CI time (~7 s per protocol) with enough
-#: depth to reach the PR-1 fork bug (whose minimal schedule is 7 steps).
+#: depth to reach the seeded fork bug (``--inject-fork-bug``).  Its
+#: counterexample minimizes to 9 steps under the preset's two updates, and
+#: to 7 with ``--updates 1``.
 QUICK_DEPTH = 10
 QUICK_UPDATES = 2
 
@@ -58,7 +60,7 @@ def configure_parser(parser) -> None:
         "--sites",
         type=int,
         default=3,
-        help="number of replica sites (default: 3; supported: 3-5)",
+        help="number of replica sites (default: 3; supported: 2-5)",
     )
     parser.add_argument(
         "--depth",

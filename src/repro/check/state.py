@@ -19,6 +19,7 @@ comparisons.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -49,6 +50,18 @@ def _field_key(value: object):
     return value_key(value)
 
 
+@functools.cache
+def _payload_fields(message_type: type[Message]) -> tuple[str, ...]:
+    """A message class's payload field names, sorted, envelope excluded."""
+    return tuple(
+        sorted(
+            f.name
+            for f in dataclasses.fields(message_type)
+            if f.name not in ("run_id", "sender", "ctx")
+        )
+    )
+
+
 def message_key(
     source: SiteId, destination: SiteId, message: Message
 ) -> tuple[str, int, SiteId, SiteId, str]:
@@ -64,8 +77,7 @@ def message_key(
     payload = repr(
         tuple(
             (name, _field_key(getattr(message, name)))
-            for name in sorted(f.name for f in dataclasses.fields(message))
-            if name not in ("run_id", "sender", "ctx")
+            for name in _payload_fields(type(message))
         )
     )
     return (

@@ -15,8 +15,8 @@ level (locks, two-phase commit, restart) lives in :mod:`repro.netsim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import Any
 
 from ..errors import QuorumDenied

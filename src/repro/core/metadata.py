@@ -19,8 +19,8 @@ never leak mutations between sites.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 
 from ..errors import MetadataInvariantError
 from ..types import SiteId

@@ -15,8 +15,8 @@ quorum; only then are all writes applied, in one step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from typing import Any
 
 from ..errors import QuorumDenied

@@ -19,9 +19,9 @@ otherwise (the paper's site measure).
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from collections.abc import Hashable, Iterable, Mapping
 
 import numpy as np
 

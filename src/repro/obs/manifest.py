@@ -21,9 +21,9 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from collections.abc import Mapping, Sequence
 
 from ..errors import ManifestError
 from . import clock

@@ -27,8 +27,8 @@ solvers report without threading a registry through every signature.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 
 from ..errors import ObservabilityError
 

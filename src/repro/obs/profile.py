@@ -29,8 +29,8 @@ prints the folded tables (docs/BENCHMARKING.md).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from collections.abc import Iterator, Mapping
+from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from ..errors import ObservabilityError

@@ -25,8 +25,8 @@ the recording entirely.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass
 
 __all__ = ["TraceEvent", "TraceLog"]
 

@@ -14,8 +14,8 @@ compared against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
 
 from ..errors import ProtocolError
 from ..types import SiteId, validate_sites

@@ -13,8 +13,8 @@ trailing zeros stripped (the zero polynomial has an empty tuple and degree
 
 from __future__ import annotations
 
-from fractions import Fraction
 from collections.abc import Iterable
+from fractions import Fraction
 from numbers import Rational
 
 from ..errors import AlgebraError
@@ -261,7 +261,8 @@ class Polynomial:
         leading coefficient preserved).  Keeps Bareiss entries small."""
         if self.is_zero():
             return self
-        from math import gcd as igcd, lcm as ilcm
+        from math import gcd as igcd
+        from math import lcm as ilcm
 
         denominator_lcm = 1
         for c in self._coefficients:

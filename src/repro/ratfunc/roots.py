@@ -14,8 +14,8 @@ The paper's Theorem 3 proof needs three root-finding services, all exact:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from collections.abc import Sequence
+from fractions import Fraction
 
 from ..errors import AlgebraError
 from .polynomial import Polynomial

@@ -11,8 +11,8 @@ algorithm lets the absent third trio member "retain its vote"
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 
 from ..errors import MetadataInvariantError
 from ..types import SiteId

@@ -28,8 +28,8 @@ with that reversed-alphabet order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 from ..core.base import ReplicaControlProtocol
 from ..core.decision import UpdateOutcome

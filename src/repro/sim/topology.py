@@ -60,6 +60,8 @@ class Topology:
         self._link_up: dict[tuple[SiteId, SiteId], bool] = dict.fromkeys(
             self._links, True
         )
+        # partitions() result, kept until the next mutation.
+        self._partitions: tuple[Partition, ...] | None = None
 
     # ------------------------------------------------------------------ #
     # State
@@ -98,6 +100,7 @@ class Topology:
         if not self._site_up[site]:
             raise SimulationError(f"site {site!r} is already down")
         self._site_up[site] = False
+        self._partitions = None
 
     def repair_site(self, site: SiteId) -> None:
         """Bring a site back up."""
@@ -105,6 +108,7 @@ class Topology:
         if self._site_up[site]:
             raise SimulationError(f"site {site!r} is already up")
         self._site_up[site] = True
+        self._partitions = None
 
     def fail_link(self, a: SiteId, b: SiteId) -> None:
         """Take a link down."""
@@ -112,6 +116,7 @@ class Topology:
         if not self._link_up[edge]:
             raise SimulationError(f"link {a!r}-{b!r} is already down")
         self._link_up[edge] = False
+        self._partitions = None
 
     def repair_link(self, a: SiteId, b: SiteId) -> None:
         """Bring a link back up."""
@@ -119,6 +124,7 @@ class Topology:
         if self._link_up[edge]:
             raise SimulationError(f"link {a!r}-{b!r} is already up")
         self._link_up[edge] = True
+        self._partitions = None
 
     def set_partitions(self, groups: Iterable[Iterable[SiteId]]) -> None:
         """Force the live graph into the given disjoint groups.
@@ -150,13 +156,20 @@ class Topology:
                 a in membership and b in membership and membership[a] == membership[b]
             )
             self._link_up[edge] = same_group
+        self._partitions = None
 
     # ------------------------------------------------------------------ #
     # Partitions
     # ------------------------------------------------------------------ #
 
     def partitions(self) -> tuple[Partition, ...]:
-        """Connected components of up sites over up links, largest first."""
+        """Connected components of up sites over up links, largest first.
+
+        Computed once per topology change: every mutator drops the cached
+        result.
+        """
+        if self._partitions is not None:
+            return self._partitions
         up = self.up_sites()
         seen: set[SiteId] = set()
         components: list[frozenset[SiteId]] = []
@@ -179,9 +192,8 @@ class Topology:
                         component.add(neighbour)
                         frontier.append(neighbour)
             components.append(frozenset(component))
-        return tuple(
-            sorted(components, key=lambda c: (-len(c), sorted(c)))
-        )
+        self._partitions = tuple(sorted(components, key=lambda c: (-len(c), sorted(c))))
+        return self._partitions
 
     def partition_of(self, site: SiteId) -> Partition | None:
         """The partition containing ``site``, or None if the site is down."""

@@ -1,8 +1,7 @@
 """Property tests for the stochastic model and chain machinery."""
 
-from fractions import Fraction
-
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
