@@ -13,7 +13,6 @@ from .crossover import (
     numeric_crossover,
     uniqueness_certificate,
 )
-from .proof import Theorem3Proof, theorem3_proof
 from .figures import (
     FIGURE_PROTOCOLS,
     FigureSeries,
@@ -21,6 +20,7 @@ from .figures import (
     figure4_series,
     figure_series,
 )
+from .proof import Theorem3Proof, theorem3_proof
 from .report import render_series, render_table
 from .sensitivity import (
     traditional_availability,

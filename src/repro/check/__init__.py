@@ -8,13 +8,15 @@ every reachable state:
 
 * :mod:`.actions` -- the schedule alphabet and the independence relation;
 * :mod:`.harness` -- one cluster under schedule control (transport and
-  timer seams engaged, restore-by-replay);
+  timer seams engaged), restored in place from a snapshot or replayed
+  from the root;
 * :mod:`.state` -- canonical snapshots used as exact state fingerprints;
 * :mod:`.oracles` -- the invariant catalog (fork freedom, participant
   exclusivity, distinguished-partition mutual exclusion, VN monotonicity,
   durable commit chains, lock safety);
 * :mod:`.explorer` -- depth-bounded DFS with sleep sets, state caching
-  and a memo of the transitions already taken;
+  and a memo of the transitions already taken; a transition never taken
+  restores the harness from its state's snapshot;
 * :mod:`.counterexample` -- minimization and replayable JSONL schedules;
 * :mod:`.runner` -- the ``repro check`` CLI.
 

@@ -33,10 +33,9 @@ assumes nothing the state cache does not: equal snapshots have equal
 futures.
 
 The live harness moves only when a transition is taken for the first
-time.  It follows the current schedule forward while it can; once the
-walk has backtracked past it, it is restored by replaying the schedule
-prefix on a fresh cluster (see :mod:`~repro.check.harness` for why live
-state cannot be deep-copied).
+time.  If it is still at the state the transition leaves, the action is
+applied; otherwise the harness is first restored from that state's
+snapshot (see :mod:`~repro.check.harness`).
 """
 
 from __future__ import annotations
@@ -138,11 +137,9 @@ class Explorer:
         self._harness = CheckHarness(self.config)
         self._states: dict[ClusterSnapshot, _State] = {}
         self._schedule: list[Action] = []
-        # The harness reflects self._schedule[: self._at]; -1 once the walk
-        # has backtracked past the actions it applied.
-        self._at = 0
         self._result = CheckResult(config=self.config, depth=self.depth)
-        root = self._arrive(None)
+        # The record of the state the harness is in.
+        self._at = root = self._arrive(None)
         if root is not None and self._visit(root, 0, frozenset()):
             self._expand(root, 0, frozenset())
         self._result.states = len(self._states)
@@ -185,8 +182,6 @@ class Explorer:
                 and self._expand(child, depth + 1, child_sleep)
             )
             schedule.pop()
-            if self._at > len(schedule):
-                self._at = -1
             if stop:
                 return True
             explored.append(action)
@@ -195,17 +190,14 @@ class Explorer:
     def _take(self, state: _State, index: int) -> _State | None:
         """Apply a transition never taken before; None aborts the walk."""
         harness = self._harness
-        length = len(self._schedule) - 1
-        if self._at < 0:
-            harness.replay(self._schedule[:length])
-        else:
-            for action in self._schedule[self._at : length]:
-                harness.apply(action)
         action = state.enabled[index]
-        if not harness.apply(action):  # pragma: no cover - invariant
+        if self._at is state:
+            applied = harness.apply(action)
+        else:
+            applied = harness.replay((action,), start=state.snapshot)
+        if not applied:  # pragma: no cover - invariant
             raise CheckError(f"enabled action failed to apply: {action!r}")
-        self._at = length + 1
-        child = self._arrive(state.snapshot)
+        child = self._at = self._arrive(state.snapshot)
         state.successors[index] = child
         return child
 

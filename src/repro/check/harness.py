@@ -15,26 +15,42 @@ two injection seams engaged:
   timeout/latency races.  ``start`` timers (delay zero in the simulator)
   execute inline so a submission is one atomic step.
 
-Because queued lock-grant callbacks and timer actions are live closures
-over cluster objects, snapshotting a state for later *restoration* is
-unsafe (``deepcopy`` treats functions as atomic, so closure cells would
-keep pointing at the old cluster).  The harness therefore restores by
-**replay**: rebuilding from the initial configuration and re-applying a
-schedule prefix, which is deterministic because every source of
-nondeterminism (delivery order, timer firing, failures, run identifiers)
-is a function of the schedule.  :meth:`snapshot` produces the canonical
-value encoding used for visited-state deduplication.
+:meth:`snapshot` encodes the state as a :class:`ClusterSnapshot`, the
+exact value the explorer deduplicates states by.  :meth:`replay` brings
+the harness back to a state in one of two ways:
+
+* from the **root**: rebuild the cluster from the initial configuration
+  and re-apply a schedule, which is deterministic because every source of
+  nondeterminism (delivery order, timer firing, failures, run
+  identifiers) is a function of the schedule;
+* from a **snapshot** (``start=``): rewrite the existing cluster in place
+  to the state the snapshot encodes, then apply the schedule.  The
+  callbacks netsim arms -- queued lock grants, timer actions -- are
+  rebuilt as the bound methods and ``functools.partial`` objects netsim
+  itself creates, and in-flight messages come from a table of every
+  message this harness sent, keyed by
+  :func:`~repro.check.state.message_key`.  Deep-copying the live cluster
+  instead would cost more than replaying from the root.
+
+Restore is exact only because the snapshot is: ``tests/check`` checks
+that restoring a snapshot reproduces it and that restored and replayed
+states have equal futures.  Snapshots carry no causal contexts, so a
+causal harness restores only from the root.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple, cast
 
+from ..core.metadata import ReplicaMetadata
 from ..core.registry import make_protocol, protocol_names
 from ..errors import CheckError
 from ..netsim.cluster import ReplicaCluster
-from ..netsim.messages import Message, reset_run_ids
+from ..netsim.coordinator import ProtocolRun, RunKind, RunStatus, _Phase
+from ..netsim.messages import CommitMessage, Message, reset_run_ids
+from ..netsim.node import AppliedUpdate, _InDoubt
 from ..types import SiteId, site_names
 from .actions import (
     Action,
@@ -54,6 +70,14 @@ __all__ = ["CheckConfig", "CheckHarness"]
 #: updates use 1..len(updates).  Keeping the two ranges disjoint makes
 #: fingerprints schedule-deterministic.
 _RECOVERY_RUN_ID_BASE = 1000
+
+#: Timer kind -> the ``ProtocolRun`` method netsim arms for it (the
+#: ``termination-probe`` timer is a partial over ``Node._probe``).
+_RUN_TIMERS = {
+    "lock-timeout": "_lock_timed_out",
+    "vote-window": "_votes_closed",
+    "catch-up-window": "_catch_up_timed_out",
+}
 
 
 @dataclass(frozen=True)
@@ -135,6 +159,23 @@ class _Pending:
         self.key = message_key(self.source, self.destination, self.message)
 
 
+class _FinishedRun(NamedTuple):
+    """A restored terminal run: all the checker reads of one."""
+
+    run_id: int
+    status: RunStatus
+
+
+def _requester(granted: Callable[[], None], site: SiteId) -> SiteId:
+    """The site whose request queued a lock-grant callback at ``site``.
+
+    A vote's grant is the ``functools.partial`` over
+    ``Node._vote_lock_granted`` whose first argument is the coordinator;
+    any other grant is the coordinator's own ``ProtocolRun._lock_granted``.
+    """
+    return granted.args[0] if isinstance(granted, functools.partial) else site
+
+
 class CheckHarness:
     """A cluster plus schedule controls; applies actions atomically.
 
@@ -151,6 +192,14 @@ class CheckHarness:
         self._workload = config.workload()
         self._value_keys: dict[str, str] = {}
         self._actions: dict[tuple, Action] = {}
+        # Decoding tables for restore.  Every value a cluster holds is the
+        # initial value, a workload value, or None (a Make_Current run's).
+        self._values = {
+            value_key(value): value
+            for value in (config.initial_value, None, *(v for _, v in self._workload))
+        }
+        self._metadata: dict[tuple, ReplicaMetadata] = {}
+        self._sent: dict[tuple, _Pending] = {}
         self.reset()
 
     # ------------------------------------------------------------------ #
@@ -179,13 +228,147 @@ class CheckHarness:
             self.config.disable_participants_guard
         )
 
-    def replay(self, schedule: list[Action] | tuple[Action, ...]) -> bool:
-        """Reset and re-apply a schedule; True iff every step applied."""
-        self.reset()
+    def replay(
+        self,
+        schedule: list[Action] | tuple[Action, ...],
+        *,
+        start: ClusterSnapshot | None = None,
+    ) -> bool:
+        """Re-apply a schedule; True iff every step applied.
+
+        The schedule starts from the initial configuration, or from the
+        state ``start`` encodes when it is given (see :meth:`_restore`).
+        """
+        if start is None:
+            self.reset()
+        else:
+            self._restore(start)
         for action in schedule:
             if not self.apply(action):
                 return False
         return True
+
+    def _restore(self, snapshot: ClusterSnapshot) -> None:
+        """Rewrite the existing cluster in place to the state ``snapshot`` encodes.
+
+        Network statistics are not part of the state and keep counting.
+        """
+        if self._causal:
+            raise CheckError(
+                "a causal harness cannot restore from a snapshot: "
+                "snapshots carry no causal contexts"
+            )
+        cluster = self.cluster
+        topology = cluster.topology
+        for site, up in snapshot.sites_up:
+            if topology.is_up(site) != up:
+                (topology.repair_site if up else topology.fail_site)(site)
+        for (a, b), up in snapshot.links_up:
+            if topology.link_is_up(a, b) != up:
+                (topology.repair_link if up else topology.fail_link)(a, b)
+        metadata = self._decode_metadata
+        runs: dict[int, ProtocolRun] = {}
+        for run_id, site, kind, phase, votes, pending, value in snapshot.active_runs:
+            run = ProtocolRun(cluster, site, RunKind(kind), self._values[value], run_id)
+            run._phase = _Phase(phase)
+            run._votes = {voter: metadata(md) for voter, md in votes}
+            run._pending_metadata = None if pending is None else metadata(pending)
+            runs[run_id] = run
+        cluster._runs = runs
+        # Nothing reads a terminal run again but its id and status.
+        cluster._finished_runs = cast(
+            "list[ProtocolRun]",
+            [
+                _FinishedRun(run_id, RunStatus(status))
+                for run_id, status in snapshot.finished_runs
+            ],
+        )
+        for record in snapshot.site_state:
+            self._restore_node(record, runs)
+        self._timers = {}
+        for key in snapshot.pending_timers:
+            self._arm(key, runs)
+        try:
+            self._pending = [self._sent[key] for key in snapshot.pending_messages]
+        except KeyError as exc:
+            raise CheckError(
+                f"cannot restore in-flight message {exc.args[0]!r}: "
+                "this harness never sent it"
+            ) from None
+        (
+            self._crashes_left,
+            self._recoveries_left,
+            self._cuts_left,
+            self._heals_left,
+        ) = snapshot.budgets
+        self._submitted = set(range(len(self._workload))).difference(
+            snapshot.ops_remaining
+        )
+        # Recovery runs are the only ones that draw run ids from the counter.
+        reset_run_ids(
+            _RECOVERY_RUN_ID_BASE + self.config.recoveries - self._recoveries_left
+        )
+
+    def _restore_node(self, record: tuple, runs: dict[int, ProtocolRun]) -> None:
+        """Rewrite one site's node from its snapshot record."""
+        site, md, value, history, decisions, holder, waiting, in_doubt = record
+        values, metadata = self._values, self._decode_metadata
+        node = self.cluster.node(site)
+        node.metadata = metadata(md)
+        node.value = values[value]
+        node.history = [
+            AppliedUpdate(version, values[applied], run_id)
+            for version, applied, run_id in history
+        ]
+        node.decision_log = {
+            run_id: (
+                CommitMessage(
+                    run_id,
+                    site,
+                    metadata(commit_md),
+                    values[commit_value],
+                    frozenset(participants),
+                )
+                if committed
+                else None
+            )
+            for run_id, committed, commit_md, commit_value, participants in decisions
+        }
+        node.locks._holder = holder
+        waiters = node.locks._waiters
+        waiters.clear()
+        for run_id, requester in waiting:
+            # The grant netsim queued: the coordinator's own run, or a vote.
+            if requester == site:
+                granted = runs[run_id]._lock_granted
+            else:
+                granted = functools.partial(
+                    node._vote_lock_granted, requester, run_id, None
+                )
+            waiters.append((run_id, granted))
+        node._in_doubt = {
+            run_id: _InDoubt(coordinator) for run_id, coordinator in in_doubt
+        }
+
+    def _arm(self, key: tuple[str, int, SiteId], runs: dict[int, ProtocolRun]) -> None:
+        """Re-arm one timer as the callable netsim arms, with its handle."""
+        kind, run_id, site = key
+        handle = _TimerHandle(self, key)
+        if kind == "termination-probe":
+            node = self.cluster.node(site)
+            node._in_doubt[run_id].timer = handle
+            self._timers[key] = functools.partial(node._probe, run_id)
+        else:
+            run = runs[run_id]
+            run._timer = handle
+            self._timers[key] = getattr(run, _RUN_TIMERS[kind])
+
+    def _decode_metadata(self, key: tuple) -> ReplicaMetadata:
+        """The metadata :func:`~repro.check.state.metadata_key` encoded as ``key``."""
+        metadata = self._metadata.get(key)
+        if metadata is None:
+            metadata = self._metadata[key] = ReplicaMetadata(*key)
+        return metadata
 
     # ------------------------------------------------------------------ #
     # Injection seams (called by the cluster)
@@ -194,7 +377,9 @@ class CheckHarness:
     def _transport(
         self, source: SiteId, destination: SiteId, message: Message
     ) -> None:
-        self._pending.append(_Pending(source, destination, message))
+        pending = _Pending(source, destination, message)
+        self._pending.append(pending)
+        self._sent.setdefault(pending.key, pending)
 
     def _schedule(
         self,
@@ -392,7 +577,10 @@ class CheckHarness:
                     ),
                     tuple(decisions),
                     node.locks.holder,
-                    node.locks.waiting_runs(),
+                    tuple(
+                        (run_id, _requester(granted, s))
+                        for run_id, granted in node.locks._waiters
+                    ),
                     tuple(
                         (run_id, record.coordinator)
                         for run_id, record in sorted(node._in_doubt.items())

@@ -3,7 +3,8 @@
 The explorer deduplicates visited states by an *exact* canonical encoding
 of everything that can influence future behaviour: topology, per-site
 durable state (metadata, value, history, decision log), per-site volatile
-state (lock table, in-doubt records), active coordinator runs, the
+state (lock holder, each waiter's run and requesting site, in-doubt
+records), active coordinator runs, the
 in-flight message multiset, armed timers, and the remaining environment
 budgets.  The encoding is a nested tuple of primitives, so snapshots hash
 and compare by value and serve directly as dictionary keys -- no digest
@@ -96,7 +97,9 @@ class ClusterSnapshot:
     The snapshot *is* the fingerprint: two states behave identically in
     the future iff their snapshots are equal (modulo the conservative
     inclusion of finished-run statuses, which only reduces deduplication,
-    never soundness).
+    never soundness).  It is also the only state the explorer carries
+    between branches: the harness rebuilds the cluster from it
+    (:meth:`~repro.check.harness.CheckHarness.replay` with ``start=``).
     """
 
     sites_up: tuple

@@ -36,6 +36,16 @@ from importlib.metadata import PackageNotFoundError
 from importlib.metadata import version as _pkg_version
 from pathlib import Path
 
+from .analysis import (
+    certified_crossover,
+    comparison_table,
+    figure3_series,
+    figure4_series,
+    render_series,
+    render_theorem3,
+    theorem3_proof,
+    theorem3_table,
+)
 from .bench import (
     BenchRecord,
     Tolerance,
@@ -49,8 +59,19 @@ from .bench import (
     write_trajectory,
 )
 from .check import runner as check_runner
+from .core import make_protocol
 from .errors import BenchError, ReproError
 from .lint import runner as lint_runner
+from .markov import (
+    availability,
+    availability_grid,
+    availability_symbolic,
+    chain_for,
+    mean_time_to_blocking,
+    state_tuple,
+    transient_availability,
+)
+from .netsim import ReplicaCluster, reset_run_ids
 from .obs import (
     CausalDag,
     MetricsRegistry,
@@ -64,27 +85,6 @@ from .obs import (
     use,
 )
 from .obs import manifest as obs_manifest
-from .analysis import (
-    certified_crossover,
-    comparison_table,
-    figure3_series,
-    figure4_series,
-    render_series,
-    render_theorem3,
-    theorem3_proof,
-    theorem3_table,
-)
-from .markov import (
-    availability,
-    availability_grid,
-    availability_symbolic,
-    chain_for,
-    mean_time_to_blocking,
-    state_tuple,
-    transient_availability,
-)
-from .core import make_protocol
-from .netsim import ReplicaCluster, reset_run_ids
 from .obs.trace import TraceLog
 from .sim import estimate_availability, figure1_scenario, paper_protocols
 from .types import site_names

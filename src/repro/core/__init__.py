@@ -20,7 +20,6 @@ from .dynamic_linear import DynamicLinearProtocol
 from .dynamic_voting import DynamicVotingProtocol
 from .file import ReplicatedFile, WriteRecord
 from .generalized import GeneralizedHybridProtocol
-from .transactions import MultiFileTransaction, TransactionResult
 from .hybrid import HybridProtocol
 from .metadata import ReplicaMetadata, current_sites, partition_summary
 from .registry import PAPER_PROTOCOLS, PROTOCOLS, make_protocol, protocol_names
@@ -30,6 +29,7 @@ from .static_voting import (
     PrimarySiteVotingProtocol,
     WeightedVotingProtocol,
 )
+from .transactions import MultiFileTransaction, TransactionResult
 from .variants import ModifiedHybridProtocol, OptimalCandidateProtocol
 
 __all__ = [

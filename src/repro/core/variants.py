@@ -88,8 +88,8 @@ class _PairTiebreakProtocol(ReplicaControlProtocol):
         outside = self.sites - partition
         if not outside:
             raise ProtocolError(
-                "a two-site update with every site in the partition is "
-                "impossible for n > 2; no down site to name"
+                "a two-site commit must name a site outside its partition, "
+                f"and all {self.n_sites} sites are in it: {self.name} needs n >= 3"
             )
         return self.greatest(outside)
 

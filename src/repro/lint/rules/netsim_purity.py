@@ -3,8 +3,9 @@
 The explicit-state checker (:mod:`repro.check`) is sound only if every
 behaviour of the message layer is a function of the schedule: a handler
 that read the wall clock or a global RNG, or that mutated a *peer* node
-directly instead of sending a message, would make replayed schedules
-diverge and would hide interleavings from the explorer.  This rule walks
+directly instead of sending a message, would make states restored from
+their snapshots, and schedules replayed from the root, diverge from the
+states explored, and would hide interleavings from the explorer.  This rule walks
 the real call graph -- every function reachable from the handler entry
 points ``Node.receive``, ``ProtocolRun.on_reply`` and
 ``ReplicaCluster.deliver_to_coordinator`` across all netsim files, nested
@@ -123,12 +124,13 @@ class NetsimHandlerPurity(ProjectRule):
         "without going through the network/scheduler seams"
     )
     rationale = (
-        "The repro check explorer replays schedules deterministically; a "
-        "handler chain with hidden nondeterminism (wall clock, global "
-        "RNG) or out-of-band peer mutation (direct .receive calls, "
-        "_nodes[...] subscripts, raw simulator.schedule) breaks replay "
-        "fidelity and hides interleavings from the model checker "
-        "(docs/CHECKING.md)."
+        "The repro check explorer restores states from their snapshots "
+        "and replays counterexamples from the root, so a state's future "
+        "must be a function of its snapshot and the schedule; a handler "
+        "chain with hidden nondeterminism (wall clock, global RNG) or "
+        "out-of-band peer mutation (direct .receive calls, _nodes[...] "
+        "subscripts, raw simulator.schedule) breaks that and hides "
+        "interleavings from the model checker (docs/CHECKING.md)."
     )
 
     def check_project(self, project: ProjectContext) -> Iterable[Finding]:

@@ -41,6 +41,10 @@ from .chains import (
     voting_chain,
 )
 from .ctmc import SPARSE_THRESHOLD, Arc, ChainSpec
+from .heterogeneous import (
+    heterogeneous_availability,
+    heterogeneous_steady_state,
+)
 from .lumping import (
     LUMP_SIGNATURES,
     class_signature,
@@ -57,10 +61,6 @@ from .transient import (
     expected_blocked_fraction,
     mean_time_to_blocking,
     transient_availability,
-)
-from .heterogeneous import (
-    heterogeneous_availability,
-    heterogeneous_steady_state,
 )
 
 __all__ = [

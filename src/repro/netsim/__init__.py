@@ -8,6 +8,7 @@
 * :class:`LockManager`, :class:`MessageNetwork`, and the message types.
 """
 
+from ..obs.trace import TraceEvent, TraceLog
 from .cluster import ReplicaCluster
 from .coordinator import ProtocolRun, RunKind, RunStatus
 from .lockmgr import LockManager
@@ -24,7 +25,6 @@ from .messages import (
     next_run_id,
     reset_run_ids,
 )
-from ..obs.trace import TraceEvent, TraceLog
 from .network import MessageNetwork
 from .node import AppliedUpdate, Node
 from .stochastic import ClusterModelDriver, ProbeStatistics

@@ -8,6 +8,12 @@ schedule up to a small depth, with no sleep sets and no caching, and
 groups the schedules by the snapshot they reach.  For each group of two or
 more, it replays the first and the last schedule: both must enable the
 same actions, and each action must lead to equal snapshots.
+
+The explorer also restores its harness from a state's snapshot, which
+makes the snapshot the only state carried between branches.  So for
+every enumerated schedule, the state restored from the schedule's
+snapshot, on a harness that has walked elsewhere, must have the future
+of the state the schedule reaches by replay.
 """
 
 import pytest
@@ -54,7 +60,20 @@ def future(
     return enabled, successors
 
 
-@pytest.mark.parametrize(
+def restored_future(
+    harness: CheckHarness, snapshot: ClusterSnapshot
+) -> tuple[list[Action], list[ClusterSnapshot]]:
+    """:func:`future`, with the state restored from ``snapshot`` each time."""
+    assert harness.replay((), start=snapshot)
+    enabled = harness.enabled_actions()
+    successors = []
+    for action in enabled:
+        assert harness.replay((action,), start=snapshot)
+        successors.append(harness.snapshot())
+    return enabled, successors
+
+
+CONFIGS = pytest.mark.parametrize(
     ("config", "depth"),
     [
         (quick_config("hybrid"), 5),
@@ -62,6 +81,9 @@ def future(
     ],
     ids=["quick-hybrid", "crash-recover-dynamic"],
 )
+
+
+@CONFIGS
 def test_equal_snapshots_have_equal_futures(config, depth):
     groups = schedules_by_snapshot(config, depth)
     shared = [schedules for schedules in groups.values() if len(schedules) > 1]
@@ -70,3 +92,14 @@ def test_equal_snapshots_have_equal_futures(config, depth):
     for schedules in shared:
         first, last = schedules[0], schedules[-1]
         assert future(harness, first) == future(harness, last), (first, last)
+
+
+@CONFIGS
+def test_restored_states_have_the_replayed_future(config, depth):
+    groups = schedules_by_snapshot(config, depth)
+    replayed, restored = CheckHarness(config), CheckHarness(config)
+    for snapshot, schedules in groups.items():
+        for schedule in schedules:
+            assert future(replayed, schedule) == restored_future(
+                restored, snapshot
+            ), schedule

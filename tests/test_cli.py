@@ -250,6 +250,13 @@ class TestCheckCommand:
         assert main(["check", "--protocol", "nope"]) == 2
         assert "unknown protocol" in capsys.readouterr().err
 
+    def test_modified_hybrid_at_two_sites_names_its_minimum(self, capsys):
+        assert main(["check", "--protocol", "modified-hybrid", "-n", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "must name a site outside its partition" in err
+        assert "modified-hybrid needs n >= 3" in err
+        assert "n > 2" not in err
+
 
 class TestTraceCausalModes:
     def test_causal_mode_renders_per_trace_listing(self, capsys):
