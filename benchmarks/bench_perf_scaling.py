@@ -33,6 +33,7 @@ import repro.sim
 from repro.analysis import render_table
 from repro.core import make_protocol
 from repro.markov import (
+    LUMP_SIGNATURES,
     availability,
     availability_grid,
     availability_symbolic,
@@ -40,7 +41,6 @@ from repro.markov import (
     clear_symbolic_cache,
     derive_chain,
     derive_lumped_chain,
-    signature_for,
 )
 from repro.markov.availability import _chain
 from repro.netsim import ReplicaCluster
@@ -230,8 +230,7 @@ def test_perf_scaling_smoke(bench_manifest):
                 for ratio in DENSE_RACE_RATIOS
             ]
         )
-    signature = signature_for("dynamic")
-    assert signature is not None
+    signature = LUMP_SIGNATURES["dynamic"].signature(protocol_obj)
     with use(bench_manifest.registry):
         lumped_vals, lumped_s = _timed(
             lambda: [

@@ -17,16 +17,9 @@ from repro.analysis import (
     render_theorem3,
     theorem3_table,
 )
-from repro.core import make_protocol
-from repro.markov import (
-    availability,
-    availability_grid,
-    derive_lumped_chain,
-    signature_for,
-)
+from repro.markov import availability, availability_grid, chain_for
 from repro.obs import Stopwatch, use
 from repro.sim import estimate_availability
-from repro.types import site_names
 
 
 def full_table():
@@ -108,12 +101,8 @@ def test_dynamic_dominates_static_at_large_n(benchmark, bench_manifest):
     # Exact spot check at n=50: Fraction elimination of the lumped
     # chains decides the ordering with no float in the loop.
     ratio = Fraction(2)
-    exact_dynamic = derive_lumped_chain(
-        make_protocol("dynamic", site_names(50)), signature_for("dynamic")
-    ).availability_exact(ratio)
-    exact_static = derive_lumped_chain(
-        make_protocol("voting", site_names(50)), signature_for("voting")
-    ).availability_exact(ratio)
+    exact_dynamic = chain_for("dynamic", 50).availability_exact(ratio)
+    exact_static = chain_for("voting", 50).availability_exact(ratio)
     assert exact_dynamic > exact_static
     print(
         f"  n=50 exact at mu/lambda=2: dynamic - voting = "

@@ -18,9 +18,8 @@ availability analysis:
 * :mod:`repro.ratfunc` -- exact polynomial / rational-function algebra over
   the rationals (the Maple replacement used for the Theorem 3 proof).
 * :mod:`repro.markov` -- the continuous-time Markov chains of Section VI,
-  solved numerically and symbolically, including an automatic
-  chain-derivation harness that validates the hand-built chains against the
-  protocol implementations.
+  derived from the protocol implementations and solved numerically,
+  exactly and symbolically.
 * :mod:`repro.analysis` -- availability measures, crossover computation, and
   the generators for every table and figure in the paper.
 

@@ -16,7 +16,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from ..markov import availability, mean_time_to_blocking, chain_for
+from ..markov import availability, chain_for, mean_time_to_blocking
 from ..sim import figure1_scenario, paper_protocols
 from .crossover import PAPER_CROSSOVERS, certified_crossover
 from .figures import figure3_series, figure4_series

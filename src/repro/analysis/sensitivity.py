@@ -20,7 +20,7 @@ from collections.abc import Sequence
 from scipy.optimize import brentq
 
 from ..errors import AnalysisError
-from ..markov import CHAIN_BUILDERS, chain_for
+from ..markov import chain_for
 from ..quorums import majority_availability, uniform_up_probability
 
 __all__ = [
@@ -35,15 +35,12 @@ def traditional_availability(protocol_name: str, n: int, ratio) -> float:
 
     For the chain protocols this is the steady-state mass on the available
     states (no ``k/n`` arrival factor); voting additionally has the
-    closed binomial form (cross-checked in the tests).
+    closed binomial form (cross-checked in the tests).  A protocol
+    without a chain raises :class:`~repro.errors.ChainError`.
     """
     if protocol_name == "voting":
         return majority_availability(
             n, uniform_up_probability(float(ratio)), measure="traditional"
-        )
-    if protocol_name not in CHAIN_BUILDERS:
-        raise AnalysisError(
-            f"no chain for {protocol_name!r}; traditional measure undefined"
         )
     chain = chain_for(protocol_name, n)
     pi = chain.steady_state(float(ratio))
@@ -67,10 +64,6 @@ def traditional_availability_grid(
                 n, uniform_up_probability(point), measure="traditional"
             )
             for point in points
-        )
-    if protocol_name not in CHAIN_BUILDERS:
-        raise AnalysisError(
-            f"no chain for {protocol_name!r}; traditional measure undefined"
         )
     chain = chain_for(protocol_name, n)
     distributions = chain.steady_state_grid(points)

@@ -28,9 +28,8 @@ from ..markov import (
     availability,
     availability_exact,
     availability_grid,
+    chain_for,
     derive_chain,
-    derive_lumped_chain,
-    signature_for,
 )
 from ..obs.metrics import MetricsRegistry
 from ..sim import estimate_availability
@@ -155,11 +154,12 @@ def derived_chain_agreement(
     ratios: Sequence[float] = (0.3, 1.0, 3.0),
     tolerance: float = 1e-10,
 ) -> dict:
-    """Compare the hand-built chain against the protocol-derived chain.
+    """Compare :func:`availability` against the site-labelled chain.
 
-    The derived chain executes the real protocol implementation state by
-    state, so agreement here validates both the Fig. 2-style reasoning and
-    the code.  Raises :class:`AnalysisError` on disagreement.
+    The site-labelled chain executes the real protocol implementation
+    state by state with no lumping, so agreement here validates the
+    closed forms and the lumping signatures behind the analytic values.
+    Raises :class:`AnalysisError` on disagreement.
     """
     derived = derive_chain(make_protocol(protocol, site_names(n)))
     worst = 0.0
@@ -216,21 +216,15 @@ def lumped_chain_agreement(
 ) -> GridAgreement:
     """Pin the lumped pipeline to exact arithmetic at spot ratios.
 
-    Re-derives the lumped chain from the protocol implementation and
-    solves it *exactly* (Fraction elimination), comparing against the
-    float pipeline value at each ratio.  Exact arithmetic on the lumped
-    chain is affordable at any n (the chain is O(n) states), so this
-    extends the paper's rational-arithmetic discipline to the n=25-50
-    regime where the site-labelled exact sweep cannot follow.  Raises
-    :class:`AnalysisError` if the protocol has no registered lumping
-    signature.
+    Solves the protocol's lumped chain (:func:`chain_for`) *exactly*
+    (Fraction elimination), comparing against the float pipeline value
+    at each ratio.  Exact arithmetic on the lumped chain is affordable at
+    any n (the chain is O(n) states), so this extends the paper's
+    rational-arithmetic discipline to the n=25-50 regime where the
+    site-labelled exact sweep cannot follow.  Raises
+    :class:`~repro.errors.ChainError` if the protocol has no chain.
     """
-    signature = signature_for(protocol)
-    if signature is None:
-        raise AnalysisError(
-            f"no lumping signature registered for {protocol!r}"
-        )
-    lumped = derive_lumped_chain(make_protocol(protocol, site_names(n)), signature)
+    lumped = chain_for(protocol, n)
     worst = 0.0
     for ratio in ratios:
         exact = float(lumped.availability_exact(Fraction(ratio)))

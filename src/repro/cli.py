@@ -804,6 +804,44 @@ def _perf_suite_records(seed: int, quick: bool) -> list[BenchRecord]:
     return records
 
 
+def _cmd_chain(args: argparse.Namespace) -> int:
+    """``repro chain``: every arc of a protocol's chain (Fig. 2 for hybrid)."""
+    chain = chain_for(args.protocol, args.sites)
+    print(f"{chain.name}: {chain.size} states")
+    for arc in chain.arcs():
+        rate = []
+        if arc.failures:
+            rate.append(f"{arc.failures}*lambda")
+        if arc.repairs:
+            rate.append(f"{arc.repairs}*mu")
+        source, target = arc.source, arc.target
+        if args.protocol == "hybrid":
+            source = state_tuple(source, args.sites)
+            target = state_tuple(target, args.sites)
+        print(f"  {source} -> {target}  @ {' + '.join(rate)}")
+    return 0
+
+
+def _cmd_transient(args: argparse.Namespace) -> int:
+    """``repro transient``: availability over time and time to blocking."""
+    chain = chain_for(args.protocol, args.sites)
+    values = transient_availability(chain, args.ratio, args.times)
+    print(
+        render_series(
+            "t",
+            args.times,
+            {"availability": values},
+            title=(
+                f"{args.protocol}, n={args.sites}, mu/lambda={args.ratio} "
+                "(from all-up at t=0)"
+            ),
+        )
+    )
+    mttb = mean_time_to_blocking(chain, args.ratio)
+    print(f"mean time to first blocking: {mttb:.4f} (1/lambda units)")
+    return 0
+
+
 def _cmd_grid(args: argparse.Namespace) -> int:
     """``repro grid``: one protocol's availability curve, any solver.
 
@@ -824,18 +862,14 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         ratios = [args.start + step * i for i in range(args.points)]
     registry = MetricsRegistry()
     stopwatch = Stopwatch()
-    try:
-        with use(registry):
-            values = availability_grid(
-                args.protocol,
-                args.sites,
-                ratios,
-                prefer_symbolic=False,
-                solver=args.solver,
-            )
-    except ReproError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    with use(registry):
+        values = availability_grid(
+            args.protocol,
+            args.sites,
+            ratios,
+            prefer_symbolic=False,
+            solver=args.solver,
+        )
     seconds = stopwatch.seconds
     solves = {
         mode: registry.counter(f"markov.solve.{mode}").value
@@ -870,6 +904,16 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     for ratio, value in zip(ratios, values):
         print(f"{ratio:>10.3f}  {value:.9f}")
     return 0
+
+
+#: Verbs that solve one protocol's chain.  A library error there (no
+#: chain, too few sites, a bad ratio) is a usage error: ``error: ...``
+#: on stderr and exit 2.
+_CHAIN_VERBS = {
+    "chain": _cmd_chain,
+    "grid": _cmd_grid,
+    "transient": _cmd_transient,
+}
 
 
 def _bench_run(args: argparse.Namespace) -> int:
@@ -940,23 +984,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(trace.format_table())
             print()
         return 0
-    if args.command == "chain":
-        chain = chain_for(args.protocol, args.sites)
-        print(f"{chain.name}: {chain.size} states")
-        for arc in chain.arcs():
-            rate = []
-            if arc.failures:
-                rate.append(f"{arc.failures}*lambda")
-            if arc.repairs:
-                rate.append(f"{arc.repairs}*mu")
-            source, target = arc.source, arc.target
-            if args.protocol in ("hybrid", "modified-hybrid"):
-                source = state_tuple(source, args.sites)
-                target = state_tuple(target, args.sites)
-            print(f"  {source} -> {target}  @ {' + '.join(rate)}")
-        return 0
-    if args.command == "grid":
-        return _cmd_grid(args)
+    if args.command in _CHAIN_VERBS:
+        try:
+            return _CHAIN_VERBS[args.command](args)
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 2
     if args.command == "compare":
         registry = MetricsRegistry() if args.manifest else None
         stopwatch = Stopwatch()
@@ -1079,23 +1112,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return lint_runner.run_from_args(args)
     if args.command == "check":
         return check_runner.run_from_args(args)
-    if args.command == "transient":
-        chain = chain_for(args.protocol, args.sites)
-        values = transient_availability(chain, args.ratio, args.times)
-        print(
-            render_series(
-                "t",
-                args.times,
-                {"availability": values},
-                title=(
-                    f"{args.protocol}, n={args.sites}, mu/lambda={args.ratio} "
-                    "(from all-up at t=0)"
-                ),
-            )
-        )
-        mttb = mean_time_to_blocking(chain, args.ratio)
-        print(f"mean time to first blocking: {mttb:.4f} (1/lambda units)")
-        return 0
     if args.command == "profile":
         return _run_profile(args)
     if args.command == "bench":

@@ -2,10 +2,11 @@
 
 * :class:`ChainSpec` / :class:`Arc` -- CTMCs with (lambda, mu)-linear rates
   and numeric / exact / symbolic steady states.
-* :mod:`repro.markov.chains` -- the hand-built chain per protocol,
-  including the paper's Fig. 2 hybrid chain.
-* :func:`derive_chain` -- exact chains derived automatically from the
-  protocol implementations (the validation harness).
+* :func:`chain_for` -- every protocol's chain, the paper's Fig. 2 hybrid
+  chain included, derived lumped from the protocol implementation through
+  the signatures in :data:`LUMP_SIGNATURES`.
+* :func:`derive_chain` -- the exact site-labelled chain of any protocol.
+* :mod:`repro.markov.chains` -- the static protocols' closed forms.
 * :func:`availability` and friends -- the unified availability API.
 """
 
@@ -14,6 +15,7 @@ from .availability import (
     availability,
     availability_exact,
     availability_symbolic,
+    chain_for,
     clear_symbolic_cache,
     normalized_availability,
     symbolic_cached,
@@ -27,18 +29,9 @@ from .builder import (
     verify_stale_partitions_blocked,
 )
 from .chains import (
-    CHAIN_BUILDERS,
-    chain_for,
-    dynamic_chain,
-    dynamic_linear_chain,
-    hybrid_chain,
-    optimal_candidate_chain,
     primary_copy_availability,
     primary_site_voting_availability,
-    primary_site_voting_chain,
-    state_tuple,
     voting_availability,
-    voting_chain,
 )
 from .ctmc import SPARSE_THRESHOLD, Arc, ChainSpec
 from .heterogeneous import (
@@ -53,7 +46,8 @@ from .lumping import (
     hybrid_signature,
     lump_chain,
     modified_hybrid_signature,
-    signature_for,
+    primary_site_voting_signature,
+    state_tuple,
     voting_signature,
 )
 from .sparse import sparse_steady_state, sparse_steady_state_grid
@@ -66,17 +60,10 @@ from .transient import (
 __all__ = [
     "Arc",
     "ChainSpec",
-    "hybrid_chain",
-    "dynamic_chain",
-    "dynamic_linear_chain",
-    "optimal_candidate_chain",
-    "voting_chain",
-    "primary_site_voting_chain",
     "voting_availability",
     "primary_site_voting_availability",
     "primary_copy_availability",
     "state_tuple",
-    "CHAIN_BUILDERS",
     "chain_for",
     "derive_chain",
     "derive_lumped_chain",
@@ -94,8 +81,8 @@ __all__ = [
     "dynamic_linear_signature",
     "modified_hybrid_signature",
     "voting_signature",
+    "primary_site_voting_signature",
     "class_signature",
-    "signature_for",
     "LUMP_SIGNATURES",
     "mean_time_to_blocking",
     "expected_blocked_fraction",

@@ -16,14 +16,13 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from ..core.registry import make_protocol
-from ..errors import AnalysisError, ReproError
+from ..errors import AnalysisError, ChainError
 from ..obs.metrics import global_registry
 from ..obs.profile import hotpath
 from ..ratfunc import Polynomial, RationalFunction
 from ..types import site_names
 from .builder import derive_lumped_chain
 from .chains import (
-    chain_for,
     primary_copy_availability,
     primary_copy_availability_float,
     primary_site_voting_availability,
@@ -32,12 +31,13 @@ from .chains import (
     voting_availability_float,
 )
 from .ctmc import ChainSpec
-from .lumping import signature_for
+from .lumping import LUMP_SIGNATURES, Lumping
 
 __all__ = [
     "availability",
     "availability_exact",
     "availability_symbolic",
+    "chain_for",
     "clear_symbolic_cache",
     "grid",
     "normalized_availability",
@@ -73,44 +73,51 @@ _CLOSED_FORMS_FLOAT = {
 }
 
 
+def chain_for(protocol_name: str, n: int) -> ChainSpec:
+    """The lumped Markov chain of a protocol at ``n`` sites.
+
+    The chain is derived from the protocol implementation with one
+    representative per block of the protocol's :data:`LUMP_SIGNATURES`
+    entry: O(n) states at any n, which is what carries the availability
+    curves to n=25-50.  For the hybrid its labels are Fig. 2's states
+    (:func:`repro.markov.state_tuple`).  Chains are cached per
+    ``(protocol, n)``.  Raises :class:`ChainError` for a protocol without
+    a chain or an n below the protocol's smallest.
+    """
+    return _chain(protocol_name, n)
+
+
 @functools.lru_cache(maxsize=256)
 def _chain(protocol_name: str, n: int) -> ChainSpec:
-    """The protocol's chain -- lump-then-solve is the default pipeline.
+    signature = _lumping(protocol_name, n).signature
+    protocol = make_protocol(protocol_name, site_names(n))
+    return derive_lumped_chain(
+        protocol, signature(protocol), name=f"lumped:{protocol_name}[n={n}]"
+    )
 
-    When a strongly lumpable signature is registered
-    (:data:`repro.markov.lumping.LUMP_SIGNATURES`), the chain is derived
-    directly from the protocol implementation with one representative
-    per block: O(n) states at any n, which is what carries the
-    availability curves to n=25-50.  Protocols without a signature use
-    the hand-built :func:`chain_for`, and so does an n below 3 that the
-    derivation rejects, where :func:`chain_for` explains the protocol's
-    minimum.  At n >= 3 a derivation error propagates: falling back there
-    would hide a protocol or builder fault behind the hand-built chain.
-    The lumped-vs-hand-built equality is pinned by the tests.
-    """
-    signature = signature_for(protocol_name)
-    if signature is None:
-        return chain_for(protocol_name, n)
-    try:
-        protocol = make_protocol(protocol_name, site_names(n))
-        return derive_lumped_chain(
-            protocol, signature, name=f"lumped:{protocol_name}[n={n}]"
+
+def _lumping(protocol_name: str, n: int) -> Lumping:
+    """The protocol's lumping, or the one error for a bad (protocol, n)."""
+    lumping = LUMP_SIGNATURES.get(protocol_name)
+    if lumping is None:
+        known = ", ".join(sorted(LUMP_SIGNATURES))
+        raise ChainError(f"no chain for {protocol_name!r}; known: {known}")
+    if n < lumping.min_sites:
+        raise ChainError(
+            f"the {protocol_name} chain needs n >= {lumping.min_sites} sites, "
+            f"got {n}"
         )
-    except ReproError:
-        if n >= 3:
-            raise
-        registry = global_registry()
-        if registry.enabled:
-            registry.counter("markov.build.fallback").inc()
-        return chain_for(protocol_name, n)
+    return lumping
 
 
-def _check(protocol_name: str) -> None:
+def _check(protocol_name: str, n: int) -> None:
     if protocol_name not in ANALYTIC_PROTOCOLS:
         known = ", ".join(ANALYTIC_PROTOCOLS)
         raise AnalysisError(
             f"no analytic availability for {protocol_name!r}; known: {known}"
         )
+    if protocol_name in LUMP_SIGNATURES:
+        _lumping(protocol_name, n)
 
 
 def up_probability(ratio: float | Fraction):
@@ -127,7 +134,7 @@ def availability(protocol_name: str, n: int, ratio: float) -> float:
     the float binomial forms and the dynamic family the numpy chain
     solve.  Exact arithmetic lives in :func:`availability_exact`.
     """
-    _check(protocol_name)
+    _check(protocol_name, n)
     if protocol_name in _CLOSED_FORMS_FLOAT:
         return _CLOSED_FORMS_FLOAT[protocol_name](n, float(ratio))
     return _chain(protocol_name, n).availability(ratio)
@@ -135,7 +142,7 @@ def availability(protocol_name: str, n: int, ratio: float) -> float:
 
 def availability_exact(protocol_name: str, n: int, ratio: Fraction) -> Fraction:
     """Site availability at a rational ratio, with exact arithmetic."""
-    _check(protocol_name)
+    _check(protocol_name, n)
     ratio = Fraction(ratio)
     if protocol_name in _CLOSED_FORMS:
         return _CLOSED_FORMS[protocol_name](n, ratio)
@@ -158,7 +165,7 @@ def availability_symbolic(protocol_name: str, n: int) -> RationalFunction:
     (with ``p = r/(1+r)`` substituted, the result is rational in *r*).
     Results are cached per ``(protocol, n)``.
     """
-    _check(protocol_name)
+    _check(protocol_name, n)
     key = (protocol_name, n)
     cached = _SYMBOLIC_CACHE.get(key)
     if cached is None:
@@ -252,7 +259,7 @@ def grid(
     ``markov.solve.sparse`` plus the ``markov.solve.grid_size``
     histogram, docs/OBSERVABILITY.md).
     """
-    _check(protocol_name)
+    _check(protocol_name, n)
     points = [float(ratio) for ratio in ratios]
     if not points:
         raise AnalysisError("availability grid needs at least one ratio")

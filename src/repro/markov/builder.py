@@ -1,10 +1,12 @@
 """Automatic derivation of a protocol's Markov chain from its code.
 
-The hand-built chains in :mod:`repro.markov.chains` encode the authors'
-reasoning about how each protocol behaves under the stochastic model.  This
-module removes the trust step: it *executes* the actual protocol
-implementation against every reachable configuration of the Section VI
-model and assembles the resulting exact Markov chain.
+The paper's chains (Fig. 2 and kin) encode the authors' reasoning about
+how each protocol behaves under the stochastic model.  This module
+removes the trust step: it *executes* the actual protocol implementation
+against every reachable configuration of the Section VI model and
+assembles the resulting Markov chain, either exactly
+(:func:`derive_chain`) or lumped onto a signature's blocks
+(:func:`derive_lumped_chain`, the chain every analysis uses).
 
 A configuration is ``(up, current, metadata)`` -- which sites are up,
 which sites hold the current version, and the metadata those copies share
@@ -20,8 +22,8 @@ Every site fails at rate lambda and is repaired at rate mu, so each
 failure/repair of a specific site is an arc with multiplicity one; arcs
 between the same configuration pair merge by summation.  The derived chain
 is *site-labelled* (no symmetry lumping), hence exact; for the paper's
-protocols it collapses to the hand-built chains' availability, which is
-what the validation tests assert.
+protocols it lumps exactly onto the hand-built chains the tests keep as
+their oracle.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def derive_chain(
     """Breadth-first exploration of the model's reachable configurations.
 
     Returns an exact (site-labelled) :class:`ChainSpec` whose availability
-    must agree with the protocol's hand-built lumped chain.  Arcs stream
+    must agree with the protocol's lumped chain.  Arcs stream
     into an indexed ``(source, target) -> (failures, repairs)`` table as
     the frontier advances -- memory is O(states + distinct arcs), never a
     per-transition list (each expansion emits n transitions, so the old

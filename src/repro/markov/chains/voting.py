@@ -1,16 +1,12 @@
-"""Static majority voting: closed-form availability and a birth-death chain.
+"""Static majority voting: closed-form availabilities.
 
 Under the Section VI model each site is up with probability
 ``p = mu / (lambda + mu)`` independently, so voting's availability has a
-closed binomial form (no chain needed).  The chain built here -- a simple
-birth-death process on the number of up sites -- exists to cross-check the
-closed form through the same ChainSpec machinery used by the dynamic
-algorithms, and to supply voting's symbolic availability for the exact
-comparisons.
-
-Voting with a primary site (majority plus primary tie-break on even *n*)
-gets its own closed form: a tied partition is distinguished iff the primary
-is among its ``n/2`` members.
+closed binomial form (no chain needed).  Voting with a primary site
+(majority plus primary tie-break on even *n*) gets its own closed form: a
+tied partition is distinguished iff the primary is among its ``n/2``
+members.  The chains :func:`repro.markov.chain_for` derives for both
+protocols reproduce these values exactly, which the tests check.
 """
 
 from __future__ import annotations
@@ -19,11 +15,8 @@ import math
 from fractions import Fraction
 
 from ...errors import ChainError
-from ..ctmc import Arc, ChainSpec
 
 __all__ = [
-    "voting_chain",
-    "primary_site_voting_chain",
     "voting_availability",
     "primary_site_voting_availability",
     "primary_copy_availability",
@@ -31,59 +24,6 @@ __all__ = [
     "primary_site_voting_availability_float",
     "primary_copy_availability_float",
 ]
-
-
-def voting_chain(n: int) -> ChainSpec:
-    """Birth-death chain on the number of up sites, majority weighting."""
-    if n < 1:
-        raise ChainError(f"need at least one site, got {n}")
-    states = [("U", k) for k in range(n + 1)]
-    arcs: list[Arc] = []
-    for k in range(1, n + 1):
-        arcs.append(Arc(("U", k), ("U", k - 1), failures=k))
-    for k in range(n):
-        arcs.append(Arc(("U", k), ("U", k + 1), repairs=n - k))
-    weights = {
-        ("U", k): Fraction(k, n) for k in range(n + 1) if 2 * k > n
-    }
-    return ChainSpec(f"voting[n={n}]", states, arcs, weights)
-
-
-def primary_site_voting_chain(n: int) -> ChainSpec:
-    """Two-dimensional birth-death chain for voting with a primary site.
-
-    States ``(k, p)``: *k* sites up, of which the primary is up iff
-    ``p = 1``.  A state is available when *k* is a strict majority, or
-    exactly half with the primary present.  Exists mostly as a second
-    derivation of :func:`primary_site_voting_availability` (the closed
-    binomial form); the tests hold the two against each other.
-    """
-    if n < 2:
-        raise ChainError(f"the primary-site chain needs n >= 2, got {n}")
-    states = [
-        (k, p)
-        for p in (0, 1)
-        for k in range(p, n + 1)
-        if k - p <= n - 1
-    ]
-    arcs: list[Arc] = []
-    for (k, p) in states:
-        others_up = k - p
-        others_down = (n - 1) - others_up
-        if p == 1:
-            arcs.append(Arc((k, 1), (k - 1, 0), failures=1))
-        else:
-            arcs.append(Arc((k, 0), (k + 1, 1), repairs=1))
-        if others_up:
-            arcs.append(Arc((k, p), (k - 1, p), failures=others_up))
-        if others_down:
-            arcs.append(Arc((k, p), (k + 1, p), repairs=others_down))
-    weights = {
-        (k, p): Fraction(k, n)
-        for (k, p) in states
-        if 2 * k > n or (2 * k == n and p == 1)
-    }
-    return ChainSpec(f"primary-site-voting[n={n}]", states, arcs, weights)
 
 
 def _binomial_term(n: int, k: int, ratio: Fraction) -> Fraction:

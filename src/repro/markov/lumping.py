@@ -1,26 +1,30 @@
-"""Exact lumping of derived chains onto the paper's Fig. 2-style diagrams.
+"""Lumping signatures: the paper's Fig. 2-style labels for derived chains.
 
-The hand-built chains of Section VI aggregate site-labelled states by the
-paper's (X, Y, Z) coordinates.  That aggregation is only sound if the
-partition is *strongly lumpable*: every state of a block must have the
-same total transition rate into each other block.  :func:`lump_chain`
-performs the aggregation and verifies strong lumpability **exactly**
-(rates here are integer multiples of lambda and mu, so the check is
-integer equality, not a numeric tolerance) -- turning "the derived chain
-has the same availability as Fig. 2" into the stronger statement "the
-derived chain *is* Fig. 2, up to the lumping map".
+Section VI's chains aggregate site-labelled states by the paper's
+(X, Y, Z) coordinates.  That aggregation is only sound if the partition
+is *strongly lumpable*: every state of a block must have the same total
+transition rate into each other block.  :func:`lump_chain` performs the
+aggregation and verifies strong lumpability **exactly** (rates here are
+integer multiples of lambda and mu, so the check is integer equality, not
+a numeric tolerance).
 
-:func:`hybrid_signature` (and kin) provide the coordinate maps from the
-builder's ``(up, current, metadata)`` configurations to the paper's state
-labels.
+:func:`hybrid_signature` (and kin) map the builder's ``(up, current,
+metadata)`` configurations to the paper's state labels, and
+:func:`state_tuple` renders the hybrid's labels as Fig. 2's coordinates.
+:data:`LUMP_SIGNATURES` names, per chain protocol, its smallest n and how
+to build its signature; :func:`repro.markov.chain_for` derives every
+chain through it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping
+from dataclasses import dataclass
 from fractions import Fraction
 
+from ..core.base import ReplicaControlProtocol
 from ..core.metadata import ReplicaMetadata
+from ..core.static_voting import PrimarySiteVotingProtocol
 from ..errors import ChainError
 from ..types import SiteId
 from .builder import Configuration
@@ -29,14 +33,19 @@ from .ctmc import Arc, ChainSpec
 __all__ = [
     "lump_chain",
     "hybrid_signature",
+    "state_tuple",
     "dynamic_signature",
     "dynamic_linear_signature",
     "modified_hybrid_signature",
     "voting_signature",
+    "primary_site_voting_signature",
     "class_signature",
-    "signature_for",
+    "Lumping",
     "LUMP_SIGNATURES",
 ]
+
+#: Maps a derived configuration to the label of its block.
+Signature = Callable[[Configuration], Hashable]
 
 
 def lump_chain(
@@ -136,6 +145,26 @@ def hybrid_signature(config: Configuration) -> tuple:
     raise ChainError(f"unexpected hybrid configuration {config!r}")
 
 
+def state_tuple(state: tuple, n: int) -> tuple[int, int, int]:
+    """Render a :func:`hybrid_signature` block as Fig. 2's (X, Y, Z).
+
+    *Y* is the update sites cardinality of the current copies, *X* how
+    many of those *Y* sites are up, and *Z* how many of the other
+    ``n - Y`` sites are up.  The labels alone fix all three, so ``n`` is
+    not read.
+    """
+    match state:
+        case ("A", 2):
+            return (2, 3, 0)
+        case ("A", int(k)):
+            return (k, k, 0)
+        case ("B", int(z)):
+            return (1, 3, z)
+        case ("C", int(z)):
+            return (0, 3, z)
+    raise ChainError(f"unknown hybrid state {state!r}")
+
+
 def dynamic_signature(config: Configuration) -> tuple:
     """Map a derived dynamic-voting configuration to its chain label."""
     up, current, _ = config
@@ -194,6 +223,34 @@ def voting_signature(config: Configuration) -> tuple:
     return ("U", len(up))
 
 
+class _PrimarySiteSignature:
+    """``(|up|, primary in up)``; see :func:`primary_site_voting_signature`."""
+
+    def __init__(self, primary: SiteId, sites: Iterable[SiteId]) -> None:
+        self.primary = primary
+        self.site_classes: dict[SiteId, Hashable] = {
+            site: site == primary for site in sites
+        }
+
+    def __call__(self, config: Configuration) -> tuple[int, int]:
+        up = config[0]
+        return (len(up), int(self.primary in up))
+
+
+def primary_site_voting_signature(protocol: ReplicaControlProtocol) -> Signature:
+    """Map primary-site-voting configurations to ``(k, p)`` labels.
+
+    *k* sites are up, of which the primary is up iff ``p = 1``: the states
+    of a two-dimensional birth-death chain.  The primary belongs to the
+    protocol instance, so the signature is built from it, and its
+    ``site_classes`` map puts the primary in a role of its own
+    (:func:`repro.markov.builder.derive_lumped_chain`).
+    """
+    if not isinstance(protocol, PrimarySiteVotingProtocol):
+        raise ChainError(f"{protocol.name} has no primary site")
+    return _PrimarySiteSignature(protocol.primary, protocol.sites)
+
+
 class _ClassSignature:
     """Per-class ``(|up|, |cur|, |up & cur|)`` counts; see :func:`class_signature`."""
 
@@ -241,23 +298,27 @@ def class_signature(
     return _ClassSignature(classes)
 
 
-#: Strongly lumpable signature per registry protocol name -- the
-#: lump-then-solve pipeline in :mod:`repro.markov.availability` keys off
-#: this table.  optimal-candidate shares the dynamic coordinates: its
-#: decisions depend on the same (|up & cur|, |up - cur|, SC) data, which
-#: the lumped-vs-hand-built tests pin.
-LUMP_SIGNATURES: dict[str, Callable[[Configuration], tuple]] = {
-    "voting": voting_signature,
-    "dynamic": dynamic_signature,
-    "dynamic-linear": dynamic_linear_signature,
-    "hybrid": hybrid_signature,
-    "modified-hybrid": modified_hybrid_signature,
-    "optimal-candidate": dynamic_signature,
+@dataclass(frozen=True)
+class Lumping:
+    """How :func:`repro.markov.chain_for` derives one protocol's chain."""
+
+    #: The smallest n at which the protocol's chain is defined.
+    min_sites: int
+    #: Builds the strongly lumpable signature for one protocol instance.
+    signature: Callable[[ReplicaControlProtocol], Signature]
+
+
+#: The lumping of every chain protocol, by registry name.  The smallest n
+#: is where the protocol first has a chain: dynamic voting needs a pair,
+#: and the hybrids a static trio.  optimal-candidate shares the dynamic
+#: coordinates: its decisions depend on the same (|up & cur|, |up - cur|,
+#: SC) data, which the tests pin against the hand-built chains.
+LUMP_SIGNATURES: dict[str, Lumping] = {
+    "voting": Lumping(1, lambda protocol: voting_signature),
+    "primary-site-voting": Lumping(1, primary_site_voting_signature),
+    "dynamic": Lumping(2, lambda protocol: dynamic_signature),
+    "dynamic-linear": Lumping(1, lambda protocol: dynamic_linear_signature),
+    "hybrid": Lumping(3, lambda protocol: hybrid_signature),
+    "modified-hybrid": Lumping(3, lambda protocol: modified_hybrid_signature),
+    "optimal-candidate": Lumping(2, lambda protocol: dynamic_signature),
 }
-
-
-def signature_for(
-    protocol_name: str,
-) -> Callable[[Configuration], tuple] | None:
-    """The registered lumping signature, or None (callers fall through)."""
-    return LUMP_SIGNATURES.get(protocol_name)

@@ -14,7 +14,7 @@ provided here with :class:`fractions.Fraction` exactness:
 """
 
 from .linsolve import bareiss_solve, fraction_solve
-from .polynomial import ONE, X, ZERO, Polynomial
+from .polynomial import ONE, ZERO, Polynomial, X
 from .rational import RationalFunction
 from .roots import (
     bisect_root,

@@ -13,8 +13,8 @@ Section VI-B's five assumptions, as code:
 :class:`StochasticReplicaSystem` drives a real protocol object through this
 regime, maintaining genuine per-site metadata.  It is therefore both the
 Monte-Carlo engine behind experiment E9 and the ground truth that the
-hand-built Markov chains are validated against (the automatic chain builder
-in :mod:`repro.markov.builder` explores the same dynamics exhaustively).
+Markov chains are validated against (the automatic chain builder in
+:mod:`repro.markov.builder` explores the same dynamics exhaustively).
 """
 
 from __future__ import annotations

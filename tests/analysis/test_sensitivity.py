@@ -7,7 +7,7 @@ from repro.analysis import (
     traditional_crossover,
 )
 from repro.errors import AnalysisError
-from repro.markov import availability, expected_blocked_fraction, chain_for
+from repro.markov import availability, chain_for, expected_blocked_fraction
 
 
 class TestTraditionalMeasure:

@@ -94,8 +94,8 @@ class TestLargeNValidation:
         assert result.ok(1e-12)
 
     def test_lumped_chain_agreement_needs_a_signature(self):
-        with pytest.raises(AnalysisError, match="no lumping signature"):
-            lumped_chain_agreement("primary-site-voting", 5)
+        with pytest.raises(AnalysisError, match="no chain for 'primary-copy'"):
+            lumped_chain_agreement("primary-copy", 5)
 
     def test_solver_agreement_defaults_to_the_paper_grid(self):
         result = solver_agreement("voting", 25)

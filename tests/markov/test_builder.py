@@ -11,6 +11,8 @@ from repro.markov import (
 )
 from repro.types import site_names
 
+from .fig2_reference import REFERENCE_CHAINS
+
 CHAINED = ("voting", "dynamic", "dynamic-linear", "hybrid", "optimal-candidate")
 
 
@@ -19,9 +21,10 @@ class TestDerivedChains:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_derived_availability_matches_hand_built(self, name, n):
         derived = derive_chain(make_protocol(name, site_names(n)))
+        hand = REFERENCE_CHAINS[name](n)
         for ratio in (0.4, 1.0, 2.5):
             assert derived.availability(ratio) == pytest.approx(
-                availability(name, n, ratio), abs=1e-12
+                hand.availability(ratio), abs=1e-12
             )
 
     def test_modified_hybrid_matches_hybrid_chain(self):
@@ -29,9 +32,13 @@ class TestDerivedChains:
         # derived chain has the hybrid chain's availability.
         for n in (3, 4, 5):
             derived = derive_chain(make_protocol("modified-hybrid", site_names(n)))
+            hand = REFERENCE_CHAINS["hybrid"](n)
             for ratio in (0.5, 1.0, 3.0):
                 assert derived.availability(ratio) == pytest.approx(
-                    availability("hybrid", n, ratio), abs=1e-12
+                    hand.availability(ratio), abs=1e-12
+                )
+                assert availability("modified-hybrid", n, ratio) == pytest.approx(
+                    hand.availability(ratio), abs=1e-12
                 )
 
     def test_derived_chain_is_exact_not_lumped(self):

@@ -5,7 +5,8 @@ representative configuration per block, never expanding the 2^n
 site-labelled space.  Soundness is pinned by equality against the
 two-step reference (``lump_chain(derive_chain(...), signature)``) for
 every registered signature, and the default ``availability`` pipeline
-must be indistinguishable from the hand-built chains it replaced.
+must be indistinguishable from the hand-built chains in
+:mod:`tests.markov.fig2_reference`.
 """
 
 import importlib
@@ -23,7 +24,6 @@ from repro.markov import (
     derive_chain,
     derive_lumped_chain,
     lump_chain,
-    signature_for,
 )
 from repro.markov.availability import _chain
 from repro.obs.metrics import MetricsRegistry, use
@@ -34,7 +34,13 @@ from repro.reassignment import (
 )
 from repro.types import site_names
 
+from .fig2_reference import REFERENCE_CHAINS, hybrid_chain
 from .test_lumping import assert_same_chain
+
+
+def signature_of(protocol):
+    """The registered signature, built for one protocol instance."""
+    return LUMP_SIGNATURES[protocol.name].signature(protocol)
 
 
 @pytest.fixture(autouse=True)
@@ -49,7 +55,7 @@ class TestRepresentativeDerivation:
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_matches_lump_of_full_chain(self, protocol, n):
         """One-representative BFS == derive the 2^n chain, then lump it."""
-        signature = LUMP_SIGNATURES[protocol]
+        signature = signature_of(make_protocol(protocol, site_names(n)))
         direct = derive_lumped_chain(
             make_protocol(protocol, site_names(n)), signature
         )
@@ -78,28 +84,22 @@ class TestRepresentativeDerivation:
         assert_same_chain(direct, reference)
 
     def test_block_budget_enforced(self):
+        protocol = make_protocol("dynamic", site_names(5))
         with pytest.raises(ChainError, match="exceeds 3 blocks"):
-            derive_lumped_chain(
-                make_protocol("dynamic", site_names(5)),
-                LUMP_SIGNATURES["dynamic"],
-                max_blocks=3,
-            )
+            derive_lumped_chain(protocol, signature_of(protocol), max_blocks=3)
 
     def test_custom_name(self):
+        protocol = make_protocol("voting", site_names(3))
         chain = derive_lumped_chain(
-            make_protocol("voting", site_names(3)),
-            LUMP_SIGNATURES["voting"],
-            name="my-chain",
+            protocol, signature_of(protocol), name="my-chain"
         )
         assert chain.name == "my-chain"
 
     def test_build_telemetry(self):
+        protocol = make_protocol("dynamic", site_names(4))
         registry = MetricsRegistry()
         with use(registry):
-            chain = derive_lumped_chain(
-                make_protocol("dynamic", site_names(4)),
-                LUMP_SIGNATURES["dynamic"],
-            )
+            chain = derive_lumped_chain(protocol, signature_of(protocol))
         snapshot = registry.snapshot()
         assert snapshot["markov.build.lumped.chains"]["value"] == 1
         assert snapshot["markov.build.lumped.states"]["value"] == chain.size
@@ -118,8 +118,12 @@ class TestDefaultPipeline:
     @pytest.mark.parametrize("protocol", sorted(LUMP_SIGNATURES))
     @pytest.mark.parametrize("n", [3, 5])
     def test_availability_matches_hand_built(self, protocol, n):
-        """Lumped-vs-unlumped: the public value must not move."""
-        hand = chain_for(protocol, n)
+        """Lumped-vs-hand-built: the public value must not move.
+
+        The modified hybrid is held to the hybrid's transcription, the
+        equivalence Section VII argues.
+        """
+        hand = REFERENCE_CHAINS.get(protocol, hybrid_chain)(n)
         for ratio in (0.3, 1.0, 2.0, 8.0):
             assert availability(protocol, n, ratio) == pytest.approx(
                 hand.availability(ratio), abs=1e-12
@@ -133,28 +137,36 @@ class TestDefaultPipeline:
     def test_derivation_error_propagates_at_three_sites_or_more(
         self, monkeypatch
     ):
-        """A builder fault is raised, not replaced by the hand-built chain."""
+        """A builder fault reaches the caller: there is no other chain."""
 
         def broken(*args, **kwargs):
             raise ChainError("builder fault")
 
         module = importlib.import_module("repro.markov.availability")
         monkeypatch.setattr(module, "derive_lumped_chain", broken)
-        registry = MetricsRegistry()
-        with use(registry), pytest.raises(ChainError, match="builder fault"):
+        with pytest.raises(ChainError, match="builder fault"):
             availability("hybrid", 5, 2.0)
-        assert "markov.build.fallback" not in registry.snapshot()
 
-    def test_below_three_sites_falls_back_to_hand_built_message(self):
+    def test_below_minimum_raises_before_deriving(self, monkeypatch):
+        """One ChainError names the protocol's minimum; nothing is built."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("derived below the minimum")
+
+        module = importlib.import_module("repro.markov.availability")
+        monkeypatch.setattr(module, "derive_lumped_chain", unreachable)
         registry = MetricsRegistry()
-        with use(registry), pytest.raises(ChainError, match="needs n >= 3"):
-            _chain("hybrid", 2)
-        assert registry.snapshot()["markov.build.fallback"]["value"] == 1
+        with use(registry), pytest.raises(
+            ChainError, match=r"^the hybrid chain needs n >= 3 sites, got 2$"
+        ):
+            chain_for("hybrid", 2)
+        assert not any(name.startswith("markov.") for name in registry.names())
 
-    def test_unsignatured_protocol_falls_through(self):
-        chain = _chain("primary-site-voting", 5)
-        assert signature_for("primary-site-voting") is None
-        assert_same_chain(chain, chain_for("primary-site-voting", 5))
+    def test_primary_site_voting_matches_reference(self):
+        """The primary moves in a role of its own, so its chain lumps."""
+        chain = chain_for("primary-site-voting", 5)
+        assert chain.name == "lumped:primary-site-voting[n=5]"
+        assert_same_chain(chain, REFERENCE_CHAINS["primary-site-voting"](5))
 
     def test_large_n_stays_small(self):
         chain = _chain("dynamic", 25)

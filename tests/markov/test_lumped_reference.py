@@ -42,9 +42,10 @@ def witness_setup(n, witnesses):
 @pytest.mark.parametrize("protocol", sorted(LUMP_SIGNATURES))
 @pytest.mark.parametrize("n", range(3, 16))
 def test_registered_signatures_match_reference(protocol, n):
-    assert_same_layout(
-        lambda: make_protocol(protocol, site_names(n)), LUMP_SIGNATURES[protocol]
-    )
+    def factory():
+        return make_protocol(protocol, site_names(n))
+
+    assert_same_layout(factory, LUMP_SIGNATURES[protocol].signature(factory()))
 
 
 @pytest.mark.parametrize("n", [5, 9])

@@ -10,17 +10,20 @@ from repro.markov import (
     Arc,
     ChainSpec,
     derive_chain,
-    dynamic_chain,
-    dynamic_linear_chain,
     dynamic_linear_signature,
     dynamic_signature,
-    hybrid_chain,
     hybrid_signature,
     lump_chain,
-    voting_chain,
     voting_signature,
 )
 from repro.types import site_names
+
+from .fig2_reference import (
+    dynamic_chain,
+    dynamic_linear_chain,
+    hybrid_chain,
+    voting_chain,
+)
 
 CASES = [
     ("hybrid", hybrid_signature, hybrid_chain),

@@ -13,7 +13,7 @@ import pytest
 
 from repro.errors import ChainError
 from repro.markov import (
-    CHAIN_BUILDERS,
+    LUMP_SIGNATURES,
     SPARSE_THRESHOLD,
     chain_for,
     sparse_steady_state,
@@ -41,7 +41,7 @@ def birth_death_chain(size: int) -> ChainSpec:
 
 
 class TestSparseDenseParity:
-    @pytest.mark.parametrize("protocol", sorted(CHAIN_BUILDERS))
+    @pytest.mark.parametrize("protocol", sorted(LUMP_SIGNATURES))
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_steady_state_matches_dense(self, protocol, n):
         chain = chain_for(protocol, n)
@@ -52,7 +52,7 @@ class TestSparseDenseParity:
                 abs(dense[state] - sparse[state]) for state in chain.states
             ) <= PARITY_ATOL, (protocol, n, ratio)
 
-    @pytest.mark.parametrize("protocol", sorted(CHAIN_BUILDERS))
+    @pytest.mark.parametrize("protocol", sorted(LUMP_SIGNATURES))
     def test_grid_matches_dense(self, protocol):
         chain = chain_for(protocol, 5)
         dense = chain.steady_state_grid(GRID, solver="dense")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.hybrid import HybridProtocol
 from repro.netsim.cluster import ReplicaCluster
-from repro.obs import MetricsRegistry, NULL_REGISTRY, NULL_TRACKER
+from repro.obs import NULL_REGISTRY, NULL_TRACKER, MetricsRegistry
 from repro.types import site_names
 
 

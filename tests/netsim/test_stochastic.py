@@ -5,7 +5,7 @@ import pytest
 from repro.core import DynamicVotingProtocol, HybridProtocol
 from repro.errors import SimulationError
 from repro.netsim import ClusterModelDriver, ReplicaCluster
-from repro.sim import Rates, RandomStreams
+from repro.sim import RandomStreams, Rates
 from repro.types import site_names
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import MetricsRegistry, NULL_REGISTRY, global_registry, use
+from repro.obs import NULL_REGISTRY, MetricsRegistry, global_registry, use
 from repro.obs.metrics import _NULL_COUNTER, _NULL_GAUGE, _NULL_HISTOGRAM
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ObservabilityError
-from repro.obs import MetricsRegistry, NULL_TRACKER, SpanTracker, TraceLog
+from repro.obs import NULL_TRACKER, MetricsRegistry, SpanTracker, TraceLog
 
 
 class TestNesting:

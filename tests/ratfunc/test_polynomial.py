@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AlgebraError
-from repro.ratfunc import ONE, X, ZERO, Polynomial
+from repro.ratfunc import ONE, ZERO, Polynomial, X
 
 fractions = st.fractions(
     min_value=-100, max_value=100, max_denominator=20

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AlgebraError
-from repro.ratfunc import ONE, X, ZERO, Polynomial, RationalFunction
+from repro.ratfunc import ONE, ZERO, Polynomial, RationalFunction, X
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=10)
 polys = st.lists(fractions, min_size=0, max_size=4).map(Polynomial)

@@ -7,8 +7,8 @@ import pytest
 from repro.core import make_protocol
 from repro.sim import (
     AvailabilityAccumulator,
-    Rates,
     RandomStreams,
+    Rates,
     StochasticReplicaSystem,
 )
 from repro.types import site_names

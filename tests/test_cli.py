@@ -171,6 +171,24 @@ class TestCommands:
         assert "1.0000" in out  # A(0) = 1
 
 
+class TestChainVerbErrors:
+    """chain, transient and grid report a library error as a usage error."""
+
+    @pytest.mark.parametrize("verb", ["chain", "transient"])
+    def test_protocol_without_a_chain(self, verb, capsys):
+        assert main([verb, "--protocol", "primary-copy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: no chain for 'primary-copy'; known: ")
+
+    @pytest.mark.parametrize("verb", ["chain", "transient", "grid"])
+    def test_too_few_sites_names_the_minimum(self, verb, capsys):
+        assert main([verb, "--protocol", "hybrid", "-n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the hybrid chain needs n >= 3 sites, got 2\n"
+
+
 class TestLintCommand:
     def test_lint_json_smoke(self, tmp_path, capsys):
         import json
