@@ -16,7 +16,7 @@ values so a regression in the protocol plumbing would surface here.
 from repro.analysis import render_table
 from repro.core import make_protocol
 from repro.netsim import ClusterModelDriver, ReplicaCluster, RunStatus
-from repro.sim import Rates, RandomStreams
+from repro.sim import RandomStreams, Rates
 from repro.types import site_names
 
 PROTOCOLS = ("voting", "dynamic", "dynamic-linear", "hybrid")

@@ -16,7 +16,7 @@ import statistics
 from repro.core import HybridProtocol
 from repro.markov import availability
 from repro.netsim import ClusterModelDriver, ReplicaCluster
-from repro.sim import Rates, RandomStreams
+from repro.sim import RandomStreams, Rates
 from repro.types import site_names
 
 RATIO = 2.0

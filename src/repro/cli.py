@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Sequence
 from importlib.metadata import PackageNotFoundError
@@ -67,10 +68,12 @@ from .markov import (
     availability_grid,
     availability_symbolic,
     chain_for,
+    clear_symbolic_cache,
     mean_time_to_blocking,
     state_tuple,
     transient_availability,
 )
+from .markov.availability import _chain
 from .netsim import ReplicaCluster, reset_run_ids
 from .obs import (
     CausalDag,
@@ -378,6 +381,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _forget_chains() -> None:
+    """Drop the process's cached chains and symbolic solves.
+
+    Called before a command records telemetry, so its ``markov.build.*``
+    counters count the derivations that command makes and a manifest
+    depends only on the command and its seed, not on what ran before it
+    in the same process.
+    """
+    _chain.cache_clear()
+    clear_symbolic_cache()
+
+
 #: Protocol columns of ``repro compare`` (mirrors ``comparison_table``).
 _COMPARE_PROTOCOLS = ("voting", "dynamic", "dynamic-linear", "hybrid")
 
@@ -599,8 +614,6 @@ def _perf_suite_records(seed: int, quick: bool) -> list[BenchRecord]:
     and full runs still compare (their params differ, which disables the
     determinism-drift check across the two modes).
     """
-    from .markov import clear_symbolic_cache
-
     records = []
     replicates, events, burn = (4, 400, 100) if quick else (6, 4_000, 1_000)
     mc_params = {
@@ -697,7 +710,6 @@ def _perf_suite_records(seed: int, quick: bool) -> list[BenchRecord]:
         )
     )
     clear_symbolic_cache()
-    from .markov.availability import _chain
 
     large_points = 10 if quick else 60
     large_grid = [
@@ -966,8 +978,26 @@ def _bench_report(args: argparse.Namespace) -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point; returns the process exit code."""
+    """Entry point; returns the process exit code.
+
+    A reader that closes stdout early (``repro chain ... | head``) ends
+    the command quietly with exit code 1, the recipe of Python's
+    ``signal`` documentation for SIGPIPE.
+    """
     args = build_parser().parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at
+        # devnull so that flush cannot raise a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed subcommand; returns its exit code."""
     if args.command == "theorem3":
         rows = theorem3_table(range(args.n_min, args.n_max + 1))
         print(render_theorem3(rows))
@@ -992,6 +1022,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 2
     if args.command == "compare":
         registry = MetricsRegistry() if args.manifest else None
+        if registry is not None:
+            _forget_chains()
         stopwatch = Stopwatch()
         with use(registry):
             matrix = {
@@ -1033,6 +1065,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "simulate":
         telemetry = args.metrics or args.manifest
         registry = MetricsRegistry() if telemetry else None
+        if registry is not None:
+            _forget_chains()
         stopwatch = Stopwatch()
         with use(registry):
             analytic = availability(args.protocol, args.sites, args.ratio)

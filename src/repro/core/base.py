@@ -133,14 +133,21 @@ class ReplicaControlProtocol(abc.ABC):
         protocols of this paper never allow (every site stores a copy), so a
         missing member raises :class:`ProtocolError`.
         """
+        return self._decide(*self._summarise(partition, copies))
+
+    def _summarise(
+        self,
+        partition: Iterable[SiteId],
+        copies: Mapping[SiteId, ReplicaMetadata],
+    ) -> tuple[frozenset[SiteId], int, frozenset[SiteId], ReplicaMetadata]:
+        """``(P, M, I, meta)`` for a checked partition, every member with a copy."""
         members = self._check_partition(partition)
         missing = [s for s in members if s not in copies]
         if missing:
             raise ProtocolError(
                 f"no metadata supplied for partition members {sorted(missing)}"
             )
-        max_version, current, meta = partition_summary(copies, members)
-        return self._decide(members, max_version, current, meta)
+        return (members, *partition_summary(copies, members))
 
     @abc.abstractmethod
     def _decide(
@@ -190,11 +197,10 @@ class ReplicaControlProtocol(abc.ABC):
         member of *I*; the ``Catch_Up`` phase).  ``context`` carries optional
         environmental knowledge (see :class:`UpdateContext`).
         """
-        members = self._check_partition(partition)
-        decision = self.is_distinguished(members, copies)
+        members, max_version, current, meta = self._summarise(partition, copies)
+        decision = self._decide(members, max_version, current, meta)
         if not decision.granted:
             return UpdateOutcome(False, decision, None, frozenset())
-        _, current, meta = partition_summary(copies, members)
         new_meta = self._commit_metadata(members, decision, meta, context)
         return UpdateOutcome(True, decision, new_meta, members - current)
 

@@ -25,7 +25,7 @@ Three query families:
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from ..errors import ObservabilityError
@@ -165,11 +165,24 @@ class CriticalPath:
 
 
 class CausalDag:
-    """The causal DAG of one exported trace log."""
+    """The causal DAG of one exported trace log.
+
+    One pass over the events indexes them by id, kind, trace id and run
+    id, each index in recording order, so every query below reads only
+    the events it names and the assertion catalog stays linear in the
+    number of events.
+    """
 
     def __init__(self, events: Iterable[CausalEvent]) -> None:
         self._events: list[CausalEvent] = []
         self._by_id: dict[str, CausalEvent] = {}
+        self._children: dict[str, list[str]] = {}
+        self._roots: list[CausalEvent] = []
+        self._by_kind: dict[str, list[CausalEvent]] = {}
+        self._by_trace: dict[str, list[CausalEvent]] = {}
+        # None once some event's run_id raises: find then filters the other
+        # pools, so the error comes from the query that reads that event.
+        self._by_run: dict[int, list[CausalEvent]] | None = {}
         for event in events:
             if event.event_id in self._by_id:
                 raise ObservabilityError(
@@ -177,10 +190,20 @@ class CausalDag:
                 )
             self._events.append(event)
             self._by_id[event.event_id] = event
-        self._children: dict[str, list[str]] = {}
-        for event in self._events:
             for parent in event.parents:
                 self._children.setdefault(parent, []).append(event.event_id)
+            if not event.parents:
+                self._roots.append(event)
+            self._by_kind.setdefault(event.kind, []).append(event)
+            self._by_trace.setdefault(event.trace_id, []).append(event)
+            if self._by_run is not None:
+                try:
+                    run_id = event.run_id
+                except (ValueError, OverflowError):
+                    self._by_run = None
+                else:
+                    if run_id is not None:
+                        self._by_run.setdefault(run_id, []).append(event)
 
     # ------------------------------------------------------------------ #
     # Construction
@@ -245,18 +268,15 @@ class CausalDag:
 
     def traces(self) -> tuple[str, ...]:
         """All trace ids, in first-appearance order."""
-        seen: dict[str, None] = {}
-        for event in self._events:
-            seen.setdefault(event.trace_id, None)
-        return tuple(seen)
+        return tuple(self._by_trace)
 
     def trace_events(self, trace_id: str) -> tuple[CausalEvent, ...]:
         """Events of one trace, in recording order."""
-        return tuple(e for e in self._events if e.trace_id == trace_id)
+        return tuple(self._by_trace.get(trace_id, ()))
 
     def roots(self) -> tuple[CausalEvent, ...]:
         """Events with no parents (one per trace in a well-formed log)."""
-        return tuple(e for e in self._events if not e.parents)
+        return tuple(self._roots)
 
     def find(
         self,
@@ -265,10 +285,21 @@ class CausalDag:
         trace_id: str | None = None,
         run_id: int | None = None,
     ) -> tuple[CausalEvent, ...]:
-        """Events matching the given filters, in recording order."""
+        """Events matching the given filters, in recording order.
+
+        Only the smallest index the filters name is scanned, and every
+        filter is applied to it.
+        """
+        pools: list[Sequence[CausalEvent]] = [self._events]
+        if kind is not None:
+            pools.append(self._by_kind.get(kind, ()))
+        if trace_id is not None:
+            pools.append(self._by_trace.get(trace_id, ()))
+        if run_id is not None and self._by_run is not None:
+            pools.append(self._by_run.get(run_id, ()))
         return tuple(
             e
-            for e in self._events
+            for e in min(pools, key=len)
             if (kind is None or e.kind == kind)
             and (trace_id is None or e.trace_id == trace_id)
             and (run_id is None or e.run_id == run_id)

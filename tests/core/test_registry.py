@@ -6,6 +6,7 @@ from repro.core import (
     PAPER_PROTOCOLS,
     PROTOCOLS,
     ReplicaControlProtocol,
+    base,
     make_protocol,
     protocol_names,
 )
@@ -62,3 +63,20 @@ class TestBaseBehaviour:
             protocol = make_protocol(name, site_names(5))
             copies = dict.fromkeys(protocol.sites, protocol.initial_metadata())
             assert protocol.is_distinguished(protocol.sites, copies).granted, name
+
+    @pytest.mark.parametrize("name", protocol_names())
+    def test_attempt_update_summarises_the_partition_once(self, name, monkeypatch):
+        summaries = []
+        summary = base.partition_summary
+
+        def counted(copies, partition):
+            summaries.append(partition)
+            return summary(copies, partition)
+
+        monkeypatch.setattr(base, "partition_summary", counted)
+        protocol = make_protocol(name, site_names(5))
+        copies = dict.fromkeys(protocol.sites, protocol.initial_metadata())
+        assert protocol.attempt_update(protocol.sites, copies).accepted
+        assert len(summaries) == 1
+        assert not protocol.attempt_update({"A"}, copies).accepted
+        assert len(summaries) == 2

@@ -97,6 +97,18 @@ class TestSeededDeterminism:
         assert strip_wall_clock(a) == strip_wall_clock(b)
         assert len(a["metrics"]) >= 10
 
+    def test_compare_manifests_identical_modulo_wall_clock(self, tmp_path, capsys):
+        # Both runs derive their chains afresh, so the second records the
+        # same markov.build.* counters as the first.
+        argv = ["compare", "-n", "5", "-r", "1.0", "2.0"]
+        main([*argv, "--manifest", str(tmp_path / "a.json")])
+        main([*argv, "--manifest", str(tmp_path / "b.json")])
+        capsys.readouterr()
+        a = json.loads((tmp_path / "a.json").read_text())
+        b = json.loads((tmp_path / "b.json").read_text())
+        assert strip_wall_clock(a) == strip_wall_clock(b)
+        assert "markov.build.lumped.expansions" in a["metrics"]
+
     def test_different_seeds_differ(self, tmp_path, capsys):
         argv = [
             "simulate", "-n", "5", "--events", "500", "--replicates", "2",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
 
 import pytest
 
@@ -40,6 +41,66 @@ def sample_log() -> TraceLog:
     t.emit("finish", 0.04, parents=(root, commit), site="A", run_id=1,
            status="committed", phase="decision")
     return log
+
+
+def on_kind(kind: str, change: Callable[[dict], None]) -> Callable[[], str]:
+    """The sample trace's JSONL with ``change`` applied to its ``kind`` record."""
+
+    def text() -> str:
+        lines = []
+        for line in sample_log().to_jsonl().splitlines():
+            record = json.loads(line)
+            if record["fields"]["event"] == kind:
+                change(record)
+            lines.append(json.dumps(record))
+        return "\n".join(lines)
+
+    return text
+
+
+def _cut_vote_edge(record: dict) -> None:
+    # Cutting the vote edge out of votes-closed leaves the commit with no
+    # causal path to B's vote: the quorum guarantee breaks.
+    fields = record["fields"]
+    fields["parents"] = [p for p in fields["parents"] if not p.endswith("/4")]
+
+
+def _install_outside_participants() -> str:
+    log = sample_log()
+    tracer = CausalTracer(log, seed=2)
+    root = tracer.begin("op:9", "submit", 0.0, site="C", run_id=9)
+    tracer.emit("install", 0.1, parents=(root,), site="C", run_id=9,
+                version=1, participants=["A", "B"], phase="decision")
+    return log.to_jsonl()
+
+
+def _cycle() -> str:
+    # The root now parents on its own descendant, the commit.
+    records = [json.loads(line) for line in sample_log().to_jsonl().splitlines()]
+    (commit,) = [
+        r["fields"]["event_id"] for r in records if r["fields"]["event"] == "commit"
+    ]
+    return on_kind(
+        "submit", lambda record: record["fields"].update(parents=[commit])
+    )()
+
+
+#: The catalog's violating inputs: the sample trace with one defect each.
+MUTATED_TRACES: dict[str, Callable[[], str]] = {
+    "dangling-parent": on_kind(
+        "finish", lambda record: record["fields"].update(parents=["missing/9"])
+    ),
+    "lamport-regression": on_kind(
+        "commit", lambda record: record["fields"].update(lamport=1)
+    ),
+    "time-regression": on_kind("vote", lambda record: record.update(time=-1.0)),
+    "second-root": on_kind(
+        "lock-granted", lambda record: record["fields"].update(parents=[])
+    ),
+    "commit-without-vote": on_kind("votes-closed", _cut_vote_edge),
+    "install-outside-participants": _install_outside_participants,
+    "cycle": _cycle,
+}
 
 
 class TestRoundTrip:
@@ -140,66 +201,31 @@ class TestAssertionCatalog:
             "install-within-participants",
         )
 
-    def _mutate(self, mutate) -> list:
-        """Round-trip the sample trace with one JSON line rewritten."""
-        lines = []
-        for line in sample_log().to_jsonl().splitlines():
-            record = json.loads(line)
-            mutate(record)
-            lines.append(json.dumps(record))
-        return check_assertions(CausalDag.from_jsonl("\n".join(lines)))
+    def _failures(self, defect: str) -> list:
+        return check_assertions(CausalDag.from_jsonl(MUTATED_TRACES[defect]()))
 
     def test_dangling_parent_fails_parents_resolve(self):
-        def mutate(record):
-            if record["fields"]["event"] == "finish":
-                record["fields"]["parents"] = ["missing/9"]
-
-        failures = self._mutate(mutate)
+        failures = self._failures("dangling-parent")
         assert any(f.assertion == "parents-resolve" for f in failures)
 
     def test_lamport_regression_is_reported(self):
-        def mutate(record):
-            if record["fields"]["event"] == "commit":
-                record["fields"]["lamport"] = 1
-
-        failures = self._mutate(mutate)
+        failures = self._failures("lamport-regression")
         assert any(f.assertion == "lamport-monotone" for f in failures)
 
     def test_time_regression_is_reported(self):
-        def mutate(record):
-            if record["fields"]["event"] == "vote":
-                record["time"] = -1.0
-
-        failures = self._mutate(mutate)
+        failures = self._failures("time-regression")
         assert any(f.assertion == "time-monotone" for f in failures)
 
     def test_second_root_fails_single_root(self):
-        def mutate(record):
-            if record["fields"]["event"] == "lock-granted":
-                record["fields"]["parents"] = []
-
-        failures = self._mutate(mutate)
+        failures = self._failures("second-root")
         assert any(f.assertion == "single-root" for f in failures)
 
     def test_commit_without_causal_vote_fails(self):
-        # Cutting the vote edge out of votes-closed leaves the commit
-        # with no causal path to B's vote: the quorum guarantee breaks.
-        def mutate(record):
-            fields = record["fields"]
-            if fields["event"] == "votes-closed":
-                fields["parents"] = [p for p in fields["parents"]
-                                     if not p.endswith("/4")]
-
-        failures = self._mutate(mutate)
+        failures = self._failures("commit-without-vote")
         assert any(f.assertion == "commit-after-votes" for f in failures)
 
     def test_install_outside_participants_fails(self):
-        log = sample_log()
-        tracer = CausalTracer(log, seed=2)
-        root = tracer.begin("op:9", "submit", 0.0, site="C", run_id=9)
-        tracer.emit("install", 0.1, parents=(root,), site="C", run_id=9,
-                    version=1, participants=["A", "B"], phase="decision")
-        failures = check_assertions(CausalDag.from_jsonl(log.to_jsonl()))
+        failures = self._failures("install-outside-participants")
         offending = [
             f for f in failures if f.assertion == "install-within-participants"
         ]
@@ -208,18 +234,5 @@ class TestAssertionCatalog:
         assert offending[0].events  # the offending edge is named
 
     def test_cycle_is_detected(self):
-        lines = []
-        for line in sample_log().to_jsonl().splitlines():
-            record = json.loads(line)
-            fields = record["fields"]
-            if fields["event"] == "submit":
-                # Root now parents on its own descendant: a cycle.
-                (commit,) = [
-                    json.loads(other)["fields"]["event_id"]
-                    for other in sample_log().to_jsonl().splitlines()
-                    if json.loads(other)["fields"]["event"] == "commit"
-                ]
-                fields["parents"] = [commit]
-            lines.append(json.dumps(record))
-        failures = check_assertions(CausalDag.from_jsonl("\n".join(lines)))
+        failures = self._failures("cycle")
         assert any(f.assertion == "acyclic" for f in failures)

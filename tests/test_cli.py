@@ -1,10 +1,17 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.obs import TraceLog
+from repro.obs.causal import CausalTracer
 
 
 class TestParser:
@@ -351,6 +358,34 @@ class TestTraceCausalModes:
         ]
         assert all(e["category"] != "causal" for e in events)
 
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_ends_the_command_quietly(self, tmp_path):
+        # A listing far longer than a pipe buffers, so the writer meets
+        # the closed pipe mid-listing.
+        log = TraceLog()
+        tracer = CausalTracer(log, seed=1)
+        event = tracer.begin("op:1", "submit", 0.0, site="A", run_id=1)
+        for step in range(1, 5000):
+            event = tracer.emit(
+                "send", step * 1e-3, parents=(event,), site="A", run_id=1
+            )
+        export = tmp_path / "long.jsonl"
+        export.write_text(log.to_jsonl())
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "trace", "causal", "--input", export],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert child.stdout.readline().startswith(b"trace ")
+        child.stdout.close()
+        stderr = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
 class TestArtifactCommand:
     def test_artifact_written(self, tmp_path, capsys):
