@@ -32,65 +32,21 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from importlib.metadata import PackageNotFoundError
 from importlib.metadata import version as _pkg_version
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    certified_crossover,
-    comparison_table,
-    figure3_series,
-    figure4_series,
-    render_series,
-    render_theorem3,
-    theorem3_proof,
-    theorem3_table,
-)
-from .bench import (
-    BenchRecord,
-    Tolerance,
-    append_records,
-    compare_runs,
-    load_history,
-    load_records,
-    render_comparison,
-    render_history,
-    write_run,
-    write_trajectory,
-)
 from .check import runner as check_runner
-from .core import make_protocol
 from .errors import BenchError, ReproError
 from .lint import runner as lint_runner
-from .markov import (
-    availability,
-    availability_grid,
-    availability_symbolic,
-    chain_for,
-    clear_symbolic_cache,
-    mean_time_to_blocking,
-    state_tuple,
-    transient_availability,
-)
-from .markov.availability import _chain
-from .netsim import ReplicaCluster, reset_run_ids
-from .obs import (
-    CausalDag,
-    MetricsRegistry,
-    RunManifest,
-    SpanProfiler,
-    Stopwatch,
-    assertion_names,
-    check_assertions,
-    operation_stats,
-    profiling,
-    use,
-)
-from .obs import manifest as obs_manifest
-from .obs.trace import TraceLog
-from .sim import estimate_availability, figure1_scenario, paper_protocols
-from .types import site_names
+
+if TYPE_CHECKING:
+    from .bench import BenchRecord
+    from .netsim import ReplicaCluster
+    from .obs import MetricsRegistry
+    from .obs.trace import TraceLog
 
 __all__ = ["main", "build_parser"]
 
@@ -389,6 +345,9 @@ def _forget_chains() -> None:
     depends only on the command and its seed, not on what ran before it
     in the same process.
     """
+    from .markov import clear_symbolic_cache
+    from .markov.availability import _chain
+
     _chain.cache_clear()
     clear_symbolic_cache()
 
@@ -413,6 +372,10 @@ def _scripted_workload(
     passed through so the same workload serves the rendered trace, the
     causal-trace modes, and the causal-overhead bench scenario.
     """
+    from .core import make_protocol
+    from .netsim import ReplicaCluster
+    from .types import site_names
+
     sites = site_names(n_sites)
     cluster = ReplicaCluster(
         make_protocol(protocol, sites),
@@ -454,6 +417,8 @@ def _causal_jsonl(args: argparse.Namespace) -> str:
     Either way downstream queries see *only* the JSONL, proving the DAG
     is reconstructible from the export alone.
     """
+    from .netsim import reset_run_ids
+
     if args.input is not None:
         return Path(args.input).read_text(encoding="utf-8")
     # Rewind the process-wide run-id counter so same-seed exports are
@@ -467,6 +432,8 @@ def _causal_jsonl(args: argparse.Namespace) -> str:
 
 def _run_trace(args: argparse.Namespace) -> int:
     """``repro trace`` and its causal-trace modes."""
+    from .obs import CausalDag, assertion_names, check_assertions, operation_stats
+
     if args.mode is None:
         log = _scripted_trace(args.protocol, args.sites)
         categories = tuple(args.categories) if args.categories else None
@@ -548,6 +515,8 @@ def _run_profile(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
+    from .obs import SpanProfiler, profiling
+
     profiler = SpanProfiler()
     with profiling(profiler):
         code = main(target)
@@ -582,6 +551,9 @@ def _perf_scenario(
     The scenario's hot-path wall attributions ride along as soft
     ``profile.<name>_s`` timings, linking the profile to the record.
     """
+    from .bench import BenchRecord
+    from .obs import MetricsRegistry, SpanProfiler, Stopwatch, profiling, use
+
     registry = MetricsRegistry()
     profiler = SpanProfiler()
     stopwatch = Stopwatch()
@@ -614,6 +586,16 @@ def _perf_suite_records(seed: int, quick: bool) -> list[BenchRecord]:
     and full runs still compare (their params differ, which disables the
     determinism-drift check across the two modes).
     """
+    from .markov import (
+        availability,
+        availability_grid,
+        availability_symbolic,
+        clear_symbolic_cache,
+    )
+    from .markov.availability import _chain
+    from .obs import Stopwatch
+    from .sim import estimate_availability
+
     records = []
     replicates, events, burn = (4, 400, 100) if quick else (6, 4_000, 1_000)
     mc_params = {
@@ -816,8 +798,41 @@ def _perf_suite_records(seed: int, quick: bool) -> list[BenchRecord]:
     return records
 
 
+def _cmd_theorem3(args: argparse.Namespace) -> int:
+    """``repro theorem3``: the Theorem 3 crossover table."""
+    from .analysis import render_theorem3, theorem3_table
+
+    rows = theorem3_table(range(args.n_min, args.n_max + 1))
+    print(render_theorem3(rows))
+    return 0 if all(r.matches for r in rows) else 1
+
+
+def _cmd_figure(args: argparse.Namespace) -> int:
+    """``repro figure``: the Fig. 3 or Fig. 4 series."""
+    from .analysis import figure3_series, figure4_series
+
+    series = (
+        figure3_series(args.steps) if args.number == 3 else figure4_series(args.steps)
+    )
+    print(series.render())
+    return 0
+
+
+def _cmd_fig1(args: argparse.Namespace) -> int:
+    """``repro fig1``: the Fig. 1 partition graph, replayed per protocol."""
+    from .sim import figure1_scenario, paper_protocols
+
+    scenario = figure1_scenario()
+    for trace in scenario.replay_all(paper_protocols()).values():
+        print(trace.format_table())
+        print()
+    return 0
+
+
 def _cmd_chain(args: argparse.Namespace) -> int:
     """``repro chain``: every arc of a protocol's chain (Fig. 2 for hybrid)."""
+    from .markov import chain_for, state_tuple
+
     chain = chain_for(args.protocol, args.sites)
     print(f"{chain.name}: {chain.size} states")
     for arc in chain.arcs():
@@ -836,6 +851,9 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 def _cmd_transient(args: argparse.Namespace) -> int:
     """``repro transient``: availability over time and time to blocking."""
+    from .analysis import render_series
+    from .markov import chain_for, mean_time_to_blocking, transient_availability
+
     chain = chain_for(args.protocol, args.sites)
     values = transient_availability(chain, args.ratio, args.times)
     print(
@@ -861,6 +879,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     actually fired, so forcing ``--solver sparse`` is verifiable from
     the output alone.
     """
+    from .markov import availability_grid
+    from .obs import MetricsRegistry, Stopwatch, use
+
     if args.points < 1:
         print("need at least one grid point", file=sys.stderr)
         return 2
@@ -918,18 +939,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Verbs that solve one protocol's chain.  A library error there (no
-#: chain, too few sites, a bad ratio) is a usage error: ``error: ...``
-#: on stderr and exit 2.
-_CHAIN_VERBS = {
-    "chain": _cmd_chain,
-    "grid": _cmd_grid,
-    "transient": _cmd_transient,
-}
-
-
 def _bench_run(args: argparse.Namespace) -> int:
     """``repro bench run``: measure a suite, append history, regenerate."""
+    from .bench import append_records, load_history, write_run, write_trajectory
+
     records = _perf_suite_records(args.seed, args.quick)
     for record in records:
         timings = " ".join(
@@ -957,6 +970,8 @@ def _bench_run(args: argparse.Namespace) -> int:
 
 def _bench_compare(args: argparse.Namespace) -> int:
     """``repro bench compare``: the regression gate's CLI face."""
+    from .bench import Tolerance, compare_runs, load_records, render_comparison
+
     tolerance = Tolerance(relative=args.tolerance, floor_seconds=args.floor)
     comparison = compare_runs(
         load_records(args.baseline), load_records(args.current), tolerance
@@ -967,6 +982,8 @@ def _bench_compare(args: argparse.Namespace) -> int:
 
 def _bench_report(args: argparse.Namespace) -> int:
     """``repro bench report``: render the history for humans."""
+    from .bench import load_history, render_history
+
     records = load_history(args.history)
     if args.suite is not None:
         records = [r for r in records if r.suite == args.suite]
@@ -977,189 +994,212 @@ def _bench_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_bench(args: argparse.Namespace) -> int:
+    """``repro bench``: run a suite, compare records, or report history."""
+    verbs = {"run": _bench_run, "compare": _bench_compare, "report": _bench_report}
+    try:
+        return verbs[args.bench_command](args)
+    except (BenchError, OSError) as exc:
+        print(f"repro bench: {exc}", file=sys.stderr)
+        return 2
+
+
+def _cmd_compare(args: argparse.Namespace) -> int:
+    """``repro compare``: the availability matrix at fixed n."""
+    from .analysis import comparison_table
+    from .markov import availability
+    from .obs import MetricsRegistry, RunManifest, Stopwatch, use
+
+    registry = MetricsRegistry() if args.manifest else None
+    if registry is not None:
+        _forget_chains()
+    stopwatch = Stopwatch()
+    with use(registry):
+        matrix = {
+            name: {
+                f"{ratio:g}": availability(name, args.sites, ratio)
+                for ratio in args.ratios
+            }
+            for name in _COMPARE_PROTOCOLS
+        }
+    if args.json:
+        print(
+            json.dumps(
+                {
+                    "n_sites": args.sites,
+                    "ratios": list(args.ratios),
+                    "availability": matrix,
+                },
+                indent=2,
+                sort_keys=True,
+            )
+        )
+    else:
+        print(comparison_table(args.sites, args.ratios))
+    if registry is not None:
+        path = RunManifest.collect(
+            "compare",
+            seed=None,
+            protocol={
+                "name": "comparison",
+                "protocols": list(_COMPARE_PROTOCOLS),
+                "n_sites": args.sites,
+            },
+            params={"ratios": list(args.ratios), "availability": matrix},
+            registry=registry,
+            wall_time_s=stopwatch.seconds,
+        ).write(args.manifest)
+        print(f"wrote manifest {path}", file=sys.stderr)
+    return 0
+
+
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    """``repro simulate``: Monte-Carlo against analytic availability."""
+    from .markov import availability
+    from .obs import MetricsRegistry, RunManifest, Stopwatch, use
+    from .sim import estimate_availability
+
+    telemetry = args.metrics or args.manifest
+    registry = MetricsRegistry() if telemetry else None
+    if registry is not None:
+        _forget_chains()
+    stopwatch = Stopwatch()
+    with use(registry):
+        analytic = availability(args.protocol, args.sites, args.ratio)
+        result = estimate_availability(
+            args.protocol,
+            args.sites,
+            args.ratio,
+            replicates=args.replicates,
+            events=args.events,
+            seed=args.seed,
+            metrics=registry,
+            workers=args.workers,
+            backend=args.backend,
+            batch_size=args.batch_size,
+        )
+    low, high = result.confidence_interval()
+    print(
+        f"{args.protocol} n={args.sites} ratio={args.ratio}:\n"
+        f"  analytic    = {analytic:.6f}\n"
+        f"  monte-carlo = {result.mean:.6f} +/- {result.stderr:.6f} "
+        f"(95% CI [{low:.6f}, {high:.6f}])"
+    )
+    if args.metrics:
+        assert registry is not None
+        print()
+        print(registry.render())
+    if args.manifest:
+        assert registry is not None
+        path = RunManifest.collect(
+            "simulate",
+            seed=args.seed,
+            protocol={"name": args.protocol, "n_sites": args.sites},
+            params={
+                "ratio": args.ratio,
+                "events": args.events,
+                "replicates": args.replicates,
+                "workers": args.workers,
+                "backend": args.backend,
+                "analytic": analytic,
+                "mean": result.mean,
+                "stderr": result.stderr,
+            },
+            registry=registry,
+            wall_time_s=stopwatch.seconds,
+        ).write(args.manifest)
+        print(f"wrote manifest {path}", file=sys.stderr)
+    return 0 if result.agrees_with(analytic) else 1
+
+
+def _cmd_validate_manifest(args: argparse.Namespace) -> int:
+    """``repro validate-manifest``: check run manifests against the schema."""
+    from .obs import manifest
+
+    return manifest.main(args.paths)
+
+
+def _cmd_crossover(args: argparse.Namespace) -> int:
+    """``repro crossover``: the certified crossover of two protocols."""
+    from .analysis import certified_crossover
+
+    result = certified_crossover(args.first, args.second, args.sites)
+    print(
+        f"{result.first} overtakes {result.second} at n={result.n_sites} "
+        f"for mu/lambda >= {result.value:.3f} "
+        f"(exact bracket [{float(result.low):.3f}, {float(result.high):.3f}])"
+    )
+    return 0
+
+
+def _cmd_proof(args: argparse.Namespace) -> int:
+    """``repro proof``: the symbolic Theorem 3 proof for one n."""
+    from .analysis import theorem3_proof
+
+    proof = theorem3_proof(args.sites)
+    proof.verify()
+    print(proof.transcript())
+    return 0 if proof.unique else 1
+
+
+def _cmd_artifact(args: argparse.Namespace) -> int:
+    """``repro artifact``: write the machine-readable results artifact."""
+    from .analysis import write_artifact
+
+    results = write_artifact(args.output, n_values=tuple(range(3, args.n_max + 1)))
+    print(
+        f"wrote {args.output}: {len(results['theorem3'])} crossovers, "
+        f"{len(results)} sections"
+    )
+    return 0
+
+
+#: Each verb's handler.  A handler imports the modules its work calls, so a
+#: verb loads numpy or scipy only if it solves or samples with them.
+_VERBS: dict[str, Callable[[argparse.Namespace], int]] = {
+    "theorem3": _cmd_theorem3,
+    "figure": _cmd_figure,
+    "fig1": _cmd_fig1,
+    "chain": _cmd_chain,
+    "grid": _cmd_grid,
+    "compare": _cmd_compare,
+    "simulate": _cmd_simulate,
+    "crossover": _cmd_crossover,
+    "proof": _cmd_proof,
+    "artifact": _cmd_artifact,
+    "lint": lint_runner.run_from_args,
+    "check": check_runner.run_from_args,
+    "trace": _run_trace,
+    "validate-manifest": _cmd_validate_manifest,
+    "profile": _run_profile,
+    "bench": _cmd_bench,
+    "transient": _cmd_transient,
+}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code.
 
-    A reader that closes stdout early (``repro chain ... | head``) ends
-    the command quietly with exit code 1, the recipe of Python's
-    ``signal`` documentation for SIGPIPE.
+    A library error (:class:`~repro.errors.ReproError`: a protocol without
+    a chain, too few sites, a malformed trace, a backend limit) is a usage
+    error: ``error: ...`` on stderr and exit 2.  A reader that closes
+    stdout early (``repro chain ... | head``) ends the command quietly
+    with exit code 1, the recipe of Python's ``signal`` documentation for
+    SIGPIPE.
     """
     args = build_parser().parse_args(argv)
     try:
-        code = _dispatch(args)
+        code = _VERBS[args.command](args)
         sys.stdout.flush()
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # The interpreter flushes stdout again at exit; point it at
         # devnull so that flush cannot raise a second time.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    """Run the parsed subcommand; returns its exit code."""
-    if args.command == "theorem3":
-        rows = theorem3_table(range(args.n_min, args.n_max + 1))
-        print(render_theorem3(rows))
-        return 0 if all(r.matches for r in rows) else 1
-    if args.command == "figure":
-        series = (
-            figure3_series(args.steps) if args.number == 3 else figure4_series(args.steps)
-        )
-        print(series.render())
-        return 0
-    if args.command == "fig1":
-        scenario = figure1_scenario()
-        for trace in scenario.replay_all(paper_protocols()).values():
-            print(trace.format_table())
-            print()
-        return 0
-    if args.command in _CHAIN_VERBS:
-        try:
-            return _CHAIN_VERBS[args.command](args)
-        except ReproError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    if args.command == "compare":
-        registry = MetricsRegistry() if args.manifest else None
-        if registry is not None:
-            _forget_chains()
-        stopwatch = Stopwatch()
-        with use(registry):
-            matrix = {
-                name: {
-                    f"{ratio:g}": availability(name, args.sites, ratio)
-                    for ratio in args.ratios
-                }
-                for name in _COMPARE_PROTOCOLS
-            }
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "n_sites": args.sites,
-                        "ratios": list(args.ratios),
-                        "availability": matrix,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(comparison_table(args.sites, args.ratios))
-        if registry is not None:
-            path = RunManifest.collect(
-                "compare",
-                seed=None,
-                protocol={
-                    "name": "comparison",
-                    "protocols": list(_COMPARE_PROTOCOLS),
-                    "n_sites": args.sites,
-                },
-                params={"ratios": list(args.ratios), "availability": matrix},
-                registry=registry,
-                wall_time_s=stopwatch.seconds,
-            ).write(args.manifest)
-            print(f"wrote manifest {path}", file=sys.stderr)
-        return 0
-    if args.command == "simulate":
-        telemetry = args.metrics or args.manifest
-        registry = MetricsRegistry() if telemetry else None
-        if registry is not None:
-            _forget_chains()
-        stopwatch = Stopwatch()
-        with use(registry):
-            analytic = availability(args.protocol, args.sites, args.ratio)
-            result = estimate_availability(
-                args.protocol,
-                args.sites,
-                args.ratio,
-                replicates=args.replicates,
-                events=args.events,
-                seed=args.seed,
-                metrics=registry,
-                workers=args.workers,
-                backend=args.backend,
-                batch_size=args.batch_size,
-            )
-        low, high = result.confidence_interval()
-        print(
-            f"{args.protocol} n={args.sites} ratio={args.ratio}:\n"
-            f"  analytic    = {analytic:.6f}\n"
-            f"  monte-carlo = {result.mean:.6f} +/- {result.stderr:.6f} "
-            f"(95% CI [{low:.6f}, {high:.6f}])"
-        )
-        if args.metrics:
-            assert registry is not None
-            print()
-            print(registry.render())
-        if args.manifest:
-            assert registry is not None
-            path = RunManifest.collect(
-                "simulate",
-                seed=args.seed,
-                protocol={"name": args.protocol, "n_sites": args.sites},
-                params={
-                    "ratio": args.ratio,
-                    "events": args.events,
-                    "replicates": args.replicates,
-                    "workers": args.workers,
-                    "backend": args.backend,
-                    "analytic": analytic,
-                    "mean": result.mean,
-                    "stderr": result.stderr,
-                },
-                registry=registry,
-                wall_time_s=stopwatch.seconds,
-            ).write(args.manifest)
-            print(f"wrote manifest {path}", file=sys.stderr)
-        return 0 if result.agrees_with(analytic) else 1
-    if args.command == "trace":
-        return _run_trace(args)
-    if args.command == "validate-manifest":
-        return obs_manifest.main(args.paths)
-    if args.command == "crossover":
-        result = certified_crossover(args.first, args.second, args.sites)
-        print(
-            f"{result.first} overtakes {result.second} at n={result.n_sites} "
-            f"for mu/lambda >= {result.value:.3f} "
-            f"(exact bracket [{float(result.low):.3f}, {float(result.high):.3f}])"
-        )
-        return 0
-    if args.command == "proof":
-        proof = theorem3_proof(args.sites)
-        proof.verify()
-        print(proof.transcript())
-        return 0 if proof.unique else 1
-    if args.command == "artifact":
-        from .analysis import write_artifact
-
-        results = write_artifact(
-            args.output, n_values=tuple(range(3, args.n_max + 1))
-        )
-        print(
-            f"wrote {args.output}: {len(results['theorem3'])} crossovers, "
-            f"{len(results)} sections"
-        )
-        return 0
-    if args.command == "lint":
-        return lint_runner.run_from_args(args)
-    if args.command == "check":
-        return check_runner.run_from_args(args)
-    if args.command == "profile":
-        return _run_profile(args)
-    if args.command == "bench":
-        try:
-            if args.bench_command == "run":
-                return _bench_run(args)
-            if args.bench_command == "compare":
-                return _bench_compare(args)
-            if args.bench_command == "report":
-                return _bench_report(args)
-        except (BenchError, OSError) as exc:
-            print(f"repro bench: {exc}", file=sys.stderr)
-            return 2
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -8,7 +8,14 @@
 * :func:`derive_chain` -- the exact site-labelled chain of any protocol.
 * :mod:`repro.markov.chains` -- the static protocols' closed forms.
 * :func:`availability` and friends -- the unified availability API.
+
+numpy is imported with the package; scipy only when a solve needs it.  The
+scipy.sparse backend's two functions resolve on first access (PEP 562),
+and :func:`transient_availability` imports ``expm`` when it runs.
 """
+
+import importlib
+from typing import TYPE_CHECKING
 
 from .availability import (
     ANALYTIC_PROTOCOLS,
@@ -50,7 +57,6 @@ from .lumping import (
     state_tuple,
     voting_signature,
 )
-from .sparse import sparse_steady_state, sparse_steady_state_grid
 from .transient import (
     expected_blocked_fraction,
     mean_time_to_blocking,
@@ -96,3 +102,18 @@ __all__ = [
     "up_probability",
     "ANALYTIC_PROTOCOLS",
 ]
+
+if TYPE_CHECKING:
+    from .sparse import sparse_steady_state, sparse_steady_state_grid
+
+#: Exports whose modules import scipy, by name: loaded on first access.
+_LAZY = {
+    "sparse_steady_state": ".sparse",
+    "sparse_steady_state_grid": ".sparse",
+}
+
+
+def __getattr__(name: str) -> object:
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(_LAZY[name], __name__), name)

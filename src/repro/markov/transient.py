@@ -22,7 +22,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from ..errors import ChainError
 from .ctmc import ChainSpec
@@ -62,6 +61,8 @@ def transient_availability(
     ``A(t) = sum_s w(s) * P(X(t) = s)`` with ``X(0)`` the all-up state.
     Uses one matrix exponential per requested time (the chains are small).
     """
+    from scipy.linalg import expm
+
     if ratio <= 0:
         raise ChainError(f"repair/failure ratio must be positive: {ratio}")
     generator = chain.generator_matrix(lam, ratio * lam)

@@ -66,11 +66,21 @@ class CausalEvent:
 
     @property
     def run_id(self) -> int | None:
-        """The protocol run this event belongs to, if recorded."""
+        """The protocol run this event belongs to, if recorded.
+
+        Raises :class:`ObservabilityError` if the recorded value is a
+        string or float that names no integer (``"one"``, NaN, infinity).
+        """
         value = self.field("run_id")
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             return None
-        return int(value)
+        try:
+            return int(value)
+        except (ValueError, OverflowError) as exc:
+            raise ObservabilityError(
+                f"causal event {self.event_id!r} has run_id {value!r}, "
+                "not an integer"
+            ) from exc
 
 
 def _event_from_fields(
@@ -199,7 +209,7 @@ class CausalDag:
             if self._by_run is not None:
                 try:
                     run_id = event.run_id
-                except (ValueError, OverflowError):
+                except ObservabilityError:
                     self._by_run = None
                 else:
                     if run_id is not None:

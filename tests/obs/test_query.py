@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable
 
 import pytest
@@ -127,6 +128,18 @@ class TestRoundTrip:
         )
         with pytest.raises(ObservabilityError, match="malformed"):
             CausalDag.from_jsonl(line)
+
+    @pytest.mark.parametrize("run_id", ["one", "1.5", float("nan"), float("inf")])
+    def test_unreadable_run_id_raises_naming_the_event(self, run_id):
+        dag = CausalDag.from_jsonl(
+            on_kind("vote", lambda record: record["fields"].update(run_id=run_id))()
+        )
+        (vote,) = dag.find("vote")
+        message = f"causal event '{vote.event_id}' has run_id {run_id!r}"
+        with pytest.raises(ObservabilityError, match=re.escape(message)):
+            vote.run_id
+        with pytest.raises(ObservabilityError, match=re.escape(message)):
+            check_assertions(dag)
 
     def test_duplicate_event_ids_raise(self):
         log = sample_log()

@@ -16,6 +16,7 @@ import pytest
 
 from repro import netsim, sim
 from repro.core.registry import make_protocol
+from repro.errors import ObservabilityError
 from repro.obs.query import (
     CausalDag,
     CausalEvent,
@@ -136,9 +137,9 @@ class TestAgreement:
              lambda: check_assertions(dag)),
         )
         for scan, indexed in queries:
-            with pytest.raises(ValueError) as expected:
+            with pytest.raises(ObservabilityError) as expected:
                 scan()
-            with pytest.raises(ValueError) as actual:
+            with pytest.raises(ObservabilityError) as actual:
                 indexed()
             assert str(actual.value) == str(expected.value)
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import make_protocol
+from repro.core import make_protocol, protocol_names
 from repro.sim import (
     AvailabilityAccumulator,
     RandomStreams,
@@ -74,6 +74,32 @@ class TestDynamics:
 
         with pytest.raises(SimulationError):
             system().run(-1)
+
+
+class TestStalePartitionsBlocked:
+    """Theorem 1 on the scalar oracle: no update without a current copy.
+
+    ``verify_stale_partitions_blocked`` checks this on the derived chains;
+    these seeded walks check it on the executable model, for every
+    registered protocol.  A Monte-Carlo kernel that decides from the up
+    set and the set of current sites alone relies on it.
+    """
+
+    @pytest.mark.parametrize("name", protocol_names())
+    def test_no_update_is_granted_to_stale_copies_only(self, name):
+        stale_only = 0
+        for n in range(3, 7):
+            for seed, ratio in ((1, 0.5), (2, 1.0), (3, 4.0)):
+                s = system(name, n=n, ratio=ratio, seed=seed)
+                for _ in range(300):
+                    before = s.copies
+                    newest = max(meta.version for meta in before.values())
+                    accepted = s.updates_accepted
+                    s.step()
+                    if s.up and all(before[x].version < newest for x in s.up):
+                        stale_only += 1
+                        assert s.updates_accepted == accepted, (n, seed, s.up)
+        assert stale_only > 0  # the walks do reach stale-only partitions
 
 
 class TestAccumulator:

@@ -196,6 +196,49 @@ class TestChainVerbErrors:
         assert captured.err == "error: the hybrid chain needs n >= 3 sites, got 2\n"
 
 
+class TestLibraryErrors:
+    """Every verb reports a library error as ``error: ...`` and exit 2."""
+
+    def test_vectorized_site_limit_ends_without_a_traceback(self):
+        child = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "--protocol", "hybrid",
+             "-n", "70", "-r", "1", "--backend", "vectorized",
+             "--replicates", "2", "--events", "10"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+        )
+        assert child.returncode == 2
+        assert child.stdout == ""
+        assert child.stderr.startswith("error: ")
+        assert "63" in child.stderr
+        assert "Traceback" not in child.stderr
+
+    def test_trace_assert_on_input_that_is_not_json(self, tmp_path, capsys):
+        export = tmp_path / "bad.jsonl"
+        export.write_text("not json\n")
+        assert main(["trace", "assert", "--input", str(export)]) == 2
+        assert capsys.readouterr().err.startswith("error: line 1 is not JSON")
+
+    def test_trace_assert_names_the_event_with_an_unreadable_run_id(
+        self, tmp_path, capsys
+    ):
+        assert main(["trace", "causal", "--protocol", "hybrid", "-n", "3",
+                     "--jsonl"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for record in records:
+            if "run_id" in record["fields"]:
+                record["fields"]["run_id"] = "one"
+        export = tmp_path / "one.jsonl"
+        export.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert main(["trace", "assert", "--input", str(export)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: causal event ")
+        assert "has run_id 'one', not an integer" in captured.err
+
+
 class TestLintCommand:
     def test_lint_json_smoke(self, tmp_path, capsys):
         import json
@@ -479,20 +522,20 @@ class TestBenchCommands:
     def test_bench_compare_detects_injected_2x_slowdown(
         self, tmp_path, capsys, monkeypatch
     ):
-        import repro.cli as cli_module
+        import repro.sim as sim_module
 
         record, _, _ = self._run(tmp_path)
         capsys.readouterr()
 
         # Inject a 2x slowdown into the Monte-Carlo hot path: same
         # deterministic result, double the wall time.
-        original = cli_module.estimate_availability
+        original = sim_module.estimate_availability
 
         def twice_as_slow(*args, **kwargs):
             original(*args, **kwargs)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "estimate_availability", twice_as_slow)
+        monkeypatch.setattr(sim_module, "estimate_availability", twice_as_slow)
         slow = tmp_path / "slow.json"
         assert main(
             ["bench", "run", "--quick", "--record", str(slow),
