@@ -95,8 +95,8 @@ def test_large_n_solver_cross_validation(benchmark):
     """Sparse vs dense factorizations over the full paper grid at n=25.
 
     Both run the same lumped chain, so any disagreement isolates the
-    linear algebra: CSC assembly + SuperLU against the stacked dense
-    LAPACK solve.  This is the n=25 counterpart of ``run_grid`` above,
+    linear algebra: level reduction against the stacked dense LAPACK
+    solve.  This is the n=25 counterpart of ``run_grid`` above,
     where per-point Fraction elimination of the site-labelled chain is
     no longer affordable.
     """

@@ -5,7 +5,7 @@ The paper's mechanically-aided proof has four steps, all reproduced here:
 1. solve the balance equations symbolically (Maple ``solve`` -> our
    :func:`repro.markov.availability_symbolic`);
 2. locate the zero of the availability difference numerically (Maple
-   ``fsolve`` -> scipy ``brentq``);
+   ``fsolve`` -> :func:`brentq`, a port of scipy's Brent iteration);
 3. truncate the root to a fixed number of decimals and *verify the
    bracket exactly*: the difference, evaluated with exact rational
    arithmetic at the truncated value and at the truncated value plus one
@@ -22,10 +22,11 @@ moderate *n* in the tests and available at any *n* for patient callers).
 
 from __future__ import annotations
 
+import math
+import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-
-from scipy.optimize import brentq
 
 from ..errors import AnalysisError
 from ..markov import (
@@ -38,6 +39,8 @@ from ..ratfunc import count_positive_roots
 
 __all__ = [
     "CrossoverResult",
+    "brentq",
+    "scan_crossover",
     "numeric_crossover",
     "certified_crossover",
     "uniqueness_certificate",
@@ -86,11 +89,165 @@ class CrossoverResult:
         return abs(self.value - expected) <= tolerance
 
 
-def _difference(first: str, second: str, n: int):
-    def diff(ratio: float) -> float:
-        return availability(first, n, ratio) - availability(second, n, ratio)
+#: scipy.optimize.brentq's relative tolerance and iteration cap, which
+#: :func:`brentq` keeps so that it returns the same float as scipy.
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
-    return diff
+
+# brentq ports scipy/optimize/Zeros/brentq.c, which carries this notice:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+def brentq(
+    f: Callable[[float], float], a: float, b: float, *, xtol: float = 2e-12
+) -> float:
+    """A root of ``f`` in ``[a, b]`` by Brent's method.
+
+    A line-for-line port of scipy's C ``brentq`` (scipy.optimize), with
+    its defaults, so it returns the same float for the same ``f`` and
+    ``xtol``: each step interpolates (secant or inverse quadratic) when
+    that shrinks the bracket fast enough and bisects otherwise, until the
+    bracket is within ``xtol + 4 eps |x|``.  Raises :class:`AnalysisError`
+    when ``f(a)`` and ``f(b)`` have the same sign, when ``f`` returns NaN,
+    and when 100 steps do not converge.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise AnalysisError(f"the function value at x={x} is NaN")
+        return fx
+
+    def negative(x: float) -> bool:
+        return math.copysign(1.0, x) < 0
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    # An exact zero at an end of the bracket is the root.
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise AnalysisError(f"f({a}) and f({b}) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (
+                    -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                )
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                # bisect
+                spre = sbis
+                scur = sbis
+        else:
+            # bisect
+            spre = sbis
+            scur = sbis
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise AnalysisError(
+        f"Brent's method did not converge in {_BRENT_MAXITER} iterations; "
+        f"last x={xcur}"
+    )
+
+
+def scan_crossover(
+    measure: Callable[[str, int, float], float],
+    measure_grid: Callable[[str, int, Sequence[float]], Sequence[float]],
+    first: str,
+    second: str,
+    n: int,
+    low: float,
+    high: float,
+    xtol: float,
+) -> float | None:
+    """The first zero of ``measure(first) - measure(second)`` on ``[low, high]``.
+
+    Scans a 201-point geometric grid for a sign change (one batched grid
+    solve per protocol through ``measure_grid``, rather than 201 per-point
+    solves) and refines the first one with :func:`brentq` on ``measure``.
+    Returns ``None`` when the difference never changes sign.
+    """
+    points = [low * (high / low) ** (i / 200) for i in range(201)]
+    values = [
+        a - b
+        for a, b in zip(measure_grid(first, n, points), measure_grid(second, n, points))
+    ]
+    for (p0, v0), (p1, v1) in zip(zip(points, values), zip(points[1:], values[1:])):
+        # An exact zero means the grid point *is* the root; any
+        # tolerance here would shadow the Brent refinement below.
+        if v0 == 0.0:  # replint: disable=REP003
+            return p0
+        if (v0 < 0) != (v1 < 0):
+            return brentq(
+                lambda ratio: measure(first, n, ratio) - measure(second, n, ratio),
+                p0,
+                p1,
+                xtol=xtol,
+            )
+    return None
 
 
 def numeric_crossover(
@@ -102,30 +259,18 @@ def numeric_crossover(
 ) -> float:
     """Floating-point crossover: the zero of the availability difference.
 
-    Scans a geometric grid for a sign change (one batched grid solve per
-    protocol rather than 201 per-point solves) and refines it with
-    Brent's method.  Raises :class:`AnalysisError` when the difference
-    never changes sign on ``[low, high]``.
+    The site-measure :func:`scan_crossover`.  Raises
+    :class:`AnalysisError` when the difference never changes sign on
+    ``[low, high]``.
     """
-    diff = _difference(first, second, n)
-    points = [low * (high / low) ** (i / 200) for i in range(201)]
-    values = [
-        a - b
-        for a, b in zip(
-            availability_grid(first, n, points),
-            availability_grid(second, n, points),
-        )
-    ]
-    for (p0, v0), (p1, v1) in zip(zip(points, values), zip(points[1:], values[1:])):
-        # An exact zero means the grid point *is* the root; any
-        # tolerance here would shadow the Brent refinement below.
-        if v0 == 0.0:  # replint: disable=REP003
-            return p0
-        if (v0 < 0) != (v1 < 0):
-            return float(brentq(diff, p0, p1, xtol=1e-12))
-    raise AnalysisError(
-        f"{first} and {second} do not cross on [{low}, {high}] at n={n}"
+    root = scan_crossover(
+        availability, availability_grid, first, second, n, low, high, xtol=1e-12
     )
+    if root is None:
+        raise AnalysisError(
+            f"{first} and {second} do not cross on [{low}, {high}] at n={n}"
+        )
+    return root
 
 
 def certified_crossover(

@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from scipy.optimize import brentq
-
 from ..errors import AnalysisError
 from ..markov import chain_for
 from ..quorums import majority_availability, uniform_up_probability
+from .crossover import scan_crossover
 
 __all__ = [
     "traditional_availability",
@@ -80,31 +79,23 @@ def traditional_availability_grid(
 def traditional_crossover(
     first: str, second: str, n: int, low: float = 0.01, high: float = 50.0
 ) -> float:
-    """The crossover ratio under the traditional measure."""
+    """The crossover ratio under the traditional measure.
 
-    def difference(ratio: float) -> float:
-        return traditional_availability(first, n, ratio) - traditional_availability(
-            second, n, ratio
-        )
-
-    points = [low * (high / low) ** (i / 200) for i in range(201)]
-    values = [
-        a - b
-        for a, b in zip(
-            traditional_availability_grid(first, n, points),
-            traditional_availability_grid(second, n, points),
-        )
-    ]
-    for (p0, v0), (p1, v1) in zip(
-        zip(points, values), zip(points[1:], values[1:])
-    ):
-        # An exact zero means the grid point *is* the root; any
-        # tolerance here would shadow the Brent refinement below.
-        if v0 == 0.0:  # replint: disable=REP003
-            return p0
-        if (v0 < 0) != (v1 < 0):
-            return float(brentq(difference, p0, p1, xtol=1e-10))
-    raise AnalysisError(
-        f"{first} and {second} do not cross on [{low}, {high}] at n={n} "
-        "under the traditional measure"
+    The traditional-measure :func:`~repro.analysis.crossover.scan_crossover`.
+    """
+    root = scan_crossover(
+        traditional_availability,
+        traditional_availability_grid,
+        first,
+        second,
+        n,
+        low,
+        high,
+        xtol=1e-10,
     )
+    if root is None:
+        raise AnalysisError(
+            f"{first} and {second} do not cross on [{low}, {high}] at n={n} "
+            "under the traditional measure"
+        )
+    return root

@@ -32,7 +32,6 @@ from ..markov import (
     derive_chain,
 )
 from ..obs.metrics import MetricsRegistry
-from ..sim import estimate_availability
 from ..types import site_names
 
 __all__ = [
@@ -125,6 +124,8 @@ def montecarlo_agreement(
     against each other: the chain, the scalar oracle's law, and the
     batched numpy kernels).
     """
+    from ..sim import estimate_availability
+
     analytic = availability(protocol, n, ratio)
     result = estimate_availability(
         protocol, n, ratio, replicates=replicates, events=events, seed=seed,
@@ -187,7 +188,7 @@ def solver_agreement(
     """Compare the sparse and dense float solvers across a ratio grid.
 
     Both backends run against the *same* lump-then-solve chain, so any
-    disagreement isolates the linear algebra itself -- CSR assembly + LU
+    disagreement isolates the linear algebra itself -- level reduction
     versus the stacked dense LAPACK solve.  This is the large-n
     counterpart of :func:`grid_agreement`: at n=25-50 the exact Fraction
     sweep is no longer affordable per point, but the two independent

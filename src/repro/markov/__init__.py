@@ -9,13 +9,10 @@
 * :mod:`repro.markov.chains` -- the static protocols' closed forms.
 * :func:`availability` and friends -- the unified availability API.
 
-numpy is imported with the package; scipy only when a solve needs it.  The
-scipy.sparse backend's two functions resolve on first access (PEP 562),
-and :func:`transient_availability` imports ``expm`` when it runs.
+numpy is imported with the package; scipy only where a solve needs it:
+:func:`transient_availability` imports ``expm`` when it runs, and the
+heterogeneous model imports scipy.sparse inside its large solve.
 """
-
-import importlib
-from typing import TYPE_CHECKING
 
 from .availability import (
     ANALYTIC_PROTOCOLS,
@@ -76,8 +73,6 @@ __all__ = [
     "verify_stale_partitions_blocked",
     "Configuration",
     "SPARSE_THRESHOLD",
-    "sparse_steady_state",
-    "sparse_steady_state_grid",
     "availability",
     "heterogeneous_availability",
     "transient_availability",
@@ -102,18 +97,3 @@ __all__ = [
     "up_probability",
     "ANALYTIC_PROTOCOLS",
 ]
-
-if TYPE_CHECKING:
-    from .sparse import sparse_steady_state, sparse_steady_state_grid
-
-#: Exports whose modules import scipy, by name: loaded on first access.
-_LAZY = {
-    "sparse_steady_state": ".sparse",
-    "sparse_steady_state_grid": ".sparse",
-}
-
-
-def __getattr__(name: str) -> object:
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(_LAZY[name], __name__), name)

@@ -248,7 +248,7 @@ def grid(
       function by float Horner per point -- no solves;
     * otherwise all K points are solved in **one** batched
       ``np.linalg.solve`` call via :meth:`ChainSpec.availability_grid`
-      -- or through the scipy.sparse backend when the chain is large or
+      -- or through the level-reduction backend when the chain is large or
       ``solver="sparse"`` forces it (``solver`` also accepts ``"dense"``;
       forcing a backend disables the Horner shortcut so the requested
       solver actually runs).

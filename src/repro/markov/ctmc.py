@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,18 +31,22 @@ from ..obs.metrics import global_registry
 from ..obs.profile import hotpath
 from ..ratfunc import Polynomial, RationalFunction, bareiss_solve, fraction_solve
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .sparse import Level
+
 __all__ = ["Arc", "ChainSpec", "SPARSE_THRESHOLD"]
 
 State = Hashable
 
 #: States above which ``solver="auto"`` routes steady-state solves to the
-#: scipy.sparse backend in :mod:`repro.markov.sparse` instead of dense
+#: level-reduction backend in :mod:`repro.markov.sparse` instead of dense
 #: LAPACK (docs/PERFORMANCE.md, "Large-n solvers").
 SPARSE_THRESHOLD = 128
 
 #: Dense-work budget for batched grids, in float64 cells of the stacked
 #: ``(K, n, n)`` generator tensor.  An "auto" grid goes sparse above this
-#: even when the chain itself is under :data:`SPARSE_THRESHOLD`.
+#: even when the chain itself is under :data:`SPARSE_THRESHOLD`, and the
+#: sparse backend splits a grid into passes that each fit it.
 _DENSE_GRID_BUDGET = 8_000_000
 
 #: Hard ceiling for materialising a dense generator at all; beyond it the
@@ -167,7 +172,7 @@ class ChainSpec:
         self._out_adjacency: tuple[tuple[tuple[State, int, int], ...], ...] | None = (
             None
         )
-        self._sparse_pattern: tuple[np.ndarray, ...] | None = None
+        self._levels: tuple[Level, ...] | None = None
         self._dense_oversize_reported = False
         self._check_connected()
 
@@ -336,10 +341,9 @@ class ChainSpec:
         """Stationary distribution at ``mu = ratio * lam`` (floats).
 
         ``solver`` is ``"dense"`` (LAPACK on the materialised generator),
-        ``"sparse"`` (CSR + scipy.sparse.linalg, see
-        :mod:`repro.markov.sparse`) or ``"auto"`` (dense below
-        :data:`SPARSE_THRESHOLD` states, sparse above -- both solve the
-        identical normalised balance system).
+        ``"sparse"`` (level reduction, see :mod:`repro.markov.sparse`) or
+        ``"auto"`` (dense below :data:`SPARSE_THRESHOLD` states, sparse
+        above -- both solve the same balance equations).
         """
         if ratio <= 0:
             raise ChainError(f"repair/failure ratio must be positive: {ratio}")

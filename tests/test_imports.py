@@ -2,8 +2,8 @@
 
 numpy and scipy are most of a launch's set-up time (docs/PERFORMANCE.md,
 "Imports follow the work").  Each case runs in a fresh interpreter, since
-this one imported both long ago, and lists the numpy and scipy modules
-that its code left in ``sys.modules``.
+this one imported both long ago, and reads the modules that its code left
+in ``sys.modules``.
 """
 
 from __future__ import annotations
@@ -24,16 +24,15 @@ SRC = str(Path(repro.__file__).parents[1])
 
 #: The perfbench ``simulate`` workload's set-up imports.
 SIMULATE_SETUP = "import repro.markov, repro.netsim, repro.obs.query, repro.sim"
+#: The perfbench ``reproduce`` workload's set-up imports.
+REPRODUCE_SETUP = (
+    "import repro.analysis, repro.core, repro.markov, repro.reassignment, repro.sim"
+)
 
 
-def heavy_modules(code: str) -> set[str]:
-    """The numpy/scipy modules loaded after ``code`` runs in a fresh interpreter."""
-    probe = (
-        f"{code}\n"
-        "import json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules"
-        " if m.partition('.')[0] in ('numpy', 'scipy'))))\n"
-    )
+def loaded_modules(code: str) -> set[str]:
+    """Every module loaded after ``code`` runs in a fresh interpreter."""
+    probe = f"{code}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True,
@@ -43,6 +42,13 @@ def heavy_modules(code: str) -> set[str]:
         check=True,
     )
     return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def heavy_modules(code: str) -> set[str]:
+    """The numpy/scipy modules loaded after ``code`` runs in a fresh interpreter."""
+    return {
+        m for m in loaded_modules(code) if m.partition(".")[0] in ("numpy", "scipy")
+    }
 
 
 def roots(modules: set[str]) -> set[str]:
@@ -71,12 +77,43 @@ def test_help_loads_neither_numpy_nor_scipy():
     assert heavy_modules(code) == set()
 
 
-def test_a_first_sparse_solve_loads_scipy_sparse():
+def test_reproduce_setup_loads_numpy_only():
+    loaded = loaded_modules(REPRODUCE_SETUP)
+    assert roots(loaded) & {"numpy", "scipy"} == {"numpy"}
+    assert "repro.sim.montecarlo" not in loaded
+
+
+def test_crossovers_and_large_solves_load_no_scipy():
+    # Brent's method is our own, and chains past the dense threshold
+    # solve by level reduction: the Theorem 3 table, an n = 50 grid and a
+    # Section VII derived chain (526 states) all stay on numpy.
     code = (
-        f"{SIMULATE_SETUP}\n"
-        "repro.markov.chain_for('dynamic', 4).steady_state(1.0, solver='sparse')\n"
+        f"{REPRODUCE_SETUP}\n"
+        "from repro.obs.metrics import MetricsRegistry, use\n"
+        "from repro.types import site_names\n"
+        "registry = MetricsRegistry()\n"
+        "with use(registry):\n"
+        "    repro.analysis.theorem3_table([3, 4])\n"
+        "    repro.markov.availability_grid('dynamic-linear', 50, [0.5, 1.0, 2.0])\n"
+        "    policy = repro.reassignment.POLICIES['trio-freeze']()\n"
+        "    repro.markov.derive_chain(\n"
+        "        repro.reassignment.VoteReassignmentProtocol(site_names(5), policy)\n"
+        "    ).availability(1.0)\n"
+        "assert registry.counter('markov.solve.sparse').value == 2\n"
     )
-    assert {"scipy.sparse", "scipy.sparse.linalg"} <= heavy_modules(code)
+    assert roots(heavy_modules(code)) == {"numpy"}
+
+
+def test_transient_loads_scipy_linalg_alone():
+    code = (
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['transient', '-n', '4'])\n"
+    )
+    scipy = {m for m in heavy_modules(code) if m.startswith("scipy.")}
+    assert "scipy.linalg" in scipy
+    assert not {m for m in scipy if m.startswith(("scipy.optimize", "scipy.sparse"))}
 
 
 @pytest.mark.parametrize("package", [repro.markov, repro.sim])
