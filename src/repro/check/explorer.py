@@ -30,12 +30,19 @@ taken before costs no harness work: its child snapshot is the record's
 key, and its oracles, which read only the child and parent snapshots,
 passed when it was first taken (a violation ends the walk).  The memo
 assumes nothing the state cache does not: equal snapshots have equal
-futures.
+futures.  For the same reason a new transition into a known state runs
+only the oracles that read the parent: the state oracles
+(:data:`~repro.check.oracles.STATE_ORACLES`) passed when the state was
+first reached.
 
 The live harness moves only when a transition is taken for the first
 time.  If it is still at the state the transition leaves, the action is
 applied; otherwise the harness is first restored from that state's
 snapshot (see :mod:`~repro.check.harness`).
+
+The cyclic garbage collector is paused during the walk.  What the walk
+allocates lives until the run ends, so each full collection would only
+traverse a graph that keeps growing, and would find almost nothing to free.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from dataclasses import dataclass, field
 from ..errors import CheckError
 from .actions import Action, independent
 from .harness import CheckConfig, CheckHarness
-from .oracles import Violation, check_oracles, default_oracle_names
+from .oracles import STATE_ORACLES, Violation, check_oracles, default_oracle_names
 from .state import ClusterSnapshot
 
 __all__ = ["CheckResult", "Explorer"]
@@ -132,16 +139,32 @@ class Explorer:
     oracles: tuple[str, ...] = field(default_factory=default_oracle_names)
     max_states: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.depth < 0:
+            raise CheckError(f"depth must be nonnegative, got {self.depth}")
+
     def run(self) -> CheckResult:
         """Explore and return the (deterministic) result."""
+        import gc
+
         self._harness = CheckHarness(self.config)
         self._states: dict[ClusterSnapshot, _State] = {}
         self._schedule: list[Action] = []
         self._result = CheckResult(config=self.config, depth=self.depth)
-        # The record of the state the harness is in.
-        self._at = root = self._arrive(None)
-        if root is not None and self._visit(root, 0, frozenset()):
-            self._expand(root, 0, frozenset())
+        # What a new transition into a known state must still check.
+        self._transition_oracles = tuple(
+            name for name in self.oracles if name not in STATE_ORACLES
+        )
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            # The record of the state the harness is in.
+            self._at = root = self._arrive(None)
+            if root is not None and self._visit(root, 0, frozenset()):
+                self._expand(root, 0, frozenset())
+        finally:
+            if collecting:
+                gc.enable()
         self._result.states = len(self._states)
         return self._result
 
@@ -206,12 +229,14 @@ class Explorer:
         harness = self._harness
         result = self._result
         snapshot = harness.snapshot()
-        violation = check_oracles(self.oracles, harness, snapshot, previous)
+        state = self._states.get(snapshot)
+        # A known state passed the state oracles when it was first reached.
+        oracles = self.oracles if state is None else self._transition_oracles
+        violation = check_oracles(oracles, harness, snapshot, previous)
         if violation is not None:
             result.violation = violation
             result.schedule = tuple(self._schedule)
             return None
-        state = self._states.get(snapshot)
         if state is None:
             state = self._states[snapshot] = _State(snapshot)
             if self.max_states is not None and len(self._states) > self.max_states:

@@ -190,17 +190,25 @@ class CheckHarness:
         self.config = config
         self._causal = causal
         self._workload = config.workload()
-        self._value_keys: dict[str, str] = {}
         self._actions: dict[tuple, Action] = {}
-        # Decoding tables for restore.  Every value a cluster holds is the
-        # initial value, a workload value, or None (a Make_Current run's).
+        # Every value a cluster holds is the initial value, a workload
+        # value, or None (a Make_Current run's): the snapshot encodes each
+        # through one table, restore decodes it through the other.
         self._values = {
             value_key(value): value
             for value in (config.initial_value, None, *(v for _, v in self._workload))
         }
+        self._value_keys = {value: key for key, value in self._values.items()}
+        # Decoding caches for restore, one entry per distinct record.
         self._metadata: dict[tuple, ReplicaMetadata] = {}
+        self._histories: dict[tuple, tuple[AppliedUpdate, ...]] = {}
+        self._decision_logs: dict[tuple, dict[int, CommitMessage | None]] = {}
         self._sent: dict[tuple, _Pending] = {}
         self.reset()
+        # Sites and links never change; the snapshot lists them in this order.
+        topology = self.cluster.topology
+        self._site_order = tuple(sorted(topology.sites))
+        self._link_order = tuple(sorted(topology.links))
 
     # ------------------------------------------------------------------ #
     # Construction / replay
@@ -312,28 +320,13 @@ class CheckHarness:
     def _restore_node(self, record: tuple, runs: dict[int, ProtocolRun]) -> None:
         """Rewrite one site's node from its snapshot record."""
         site, md, value, history, decisions, holder, waiting, in_doubt = record
-        values, metadata = self._values, self._decode_metadata
         node = self.cluster.node(site)
-        node.metadata = metadata(md)
-        node.value = values[value]
-        node.history = [
-            AppliedUpdate(version, values[applied], run_id)
-            for version, applied, run_id in history
-        ]
-        node.decision_log = {
-            run_id: (
-                CommitMessage(
-                    run_id,
-                    site,
-                    metadata(commit_md),
-                    values[commit_value],
-                    frozenset(participants),
-                )
-                if committed
-                else None
-            )
-            for run_id, committed, commit_md, commit_value, participants in decisions
-        }
+        node.metadata = self._decode_metadata(md)
+        node.value = self._values[value]
+        # Applied updates and commits are frozen, so nodes share them; the
+        # list and the dict around them are each node's own.
+        node.history = list(self._decode_history(history))
+        node.decision_log = dict(self._decode_decisions(site, decisions))
         node.locks._holder = holder
         waiters = node.locks._waiters
         waiters.clear()
@@ -369,6 +362,40 @@ class CheckHarness:
         if metadata is None:
             metadata = self._metadata[key] = ReplicaMetadata(*key)
         return metadata
+
+    def _decode_history(self, history: tuple) -> tuple[AppliedUpdate, ...]:
+        """The applied updates a site record's history encodes."""
+        decoded = self._histories.get(history)
+        if decoded is None:
+            values = self._values
+            decoded = self._histories[history] = tuple(
+                AppliedUpdate(version, values[value], run_id)
+                for version, value, run_id in history
+            )
+        return decoded
+
+    def _decode_decisions(
+        self, site: SiteId, decisions: tuple
+    ) -> dict[int, CommitMessage | None]:
+        """The decision log a site record encodes (``site`` sent its commits)."""
+        key = (site, decisions)
+        decoded = self._decision_logs.get(key)
+        if decoded is None:
+            values, metadata = self._values, self._decode_metadata
+            decoded = self._decision_logs[key] = {}
+            for run_id, committed, commit_md, value, participants in decisions:
+                decoded[run_id] = (
+                    CommitMessage(
+                        run_id,
+                        site,
+                        metadata(commit_md),
+                        values[value],
+                        frozenset(participants),
+                    )
+                    if committed
+                    else None
+                )
+        return decoded
 
     # ------------------------------------------------------------------ #
     # Injection seams (called by the cluster)
@@ -543,17 +570,14 @@ class CheckHarness:
         """Canonical, hashable encoding of the current state."""
         cluster = self.cluster
         topology = cluster.topology
-        sites = sorted(topology.sites)
-        sites_up = tuple((s, topology.is_up(s)) for s in sites)
-        links_up = tuple(
-            ((a, b), topology.link_is_up(a, b)) for (a, b) in sorted(topology.links)
-        )
+        keys = self._value_keys
         site_state = []
-        for s in sites:
+        for s in self._site_order:
             node = cluster.node(s)
+            log = node.decision_log
             decisions = []
-            for run_id in sorted(node.decision_log):
-                commit = node.decision_log[run_id]
+            for run_id in sorted(log):
+                commit = log[run_id]
                 if commit is None:
                     decisions.append((run_id, False, None, None, ()))
                 else:
@@ -562,7 +586,7 @@ class CheckHarness:
                             run_id,
                             True,
                             metadata_key(commit.metadata),
-                            self._value_key(commit.value),
+                            keys[commit.value],
                             tuple(sorted(commit.participants)),
                         )
                     )
@@ -570,20 +594,21 @@ class CheckHarness:
                 (
                     s,
                     metadata_key(node.metadata),
-                    self._value_key(node.value),
-                    tuple(
-                        (a.version, self._value_key(a.value), a.run_id)
-                        for a in node.history
-                    ),
+                    keys[node.value],
+                    tuple([(a.version, keys[a.value], a.run_id) for a in node.history]),
                     tuple(decisions),
                     node.locks.holder,
                     tuple(
-                        (run_id, _requester(granted, s))
-                        for run_id, granted in node.locks._waiters
+                        [
+                            (run_id, _requester(granted, s))
+                            for run_id, granted in node.locks._waiters
+                        ]
                     ),
                     tuple(
-                        (run_id, record.coordinator)
-                        for run_id, record in sorted(node._in_doubt.items())
+                        [
+                            (run_id, record.coordinator)
+                            for run_id, record in sorted(node._in_doubt.items())
+                        ]
                     ),
                 )
             )
@@ -597,23 +622,29 @@ class CheckHarness:
                     run.kind.value,
                     run._phase.value,
                     tuple(
-                        (voter, metadata_key(md))
-                        for voter, md in sorted(run._votes.items())
+                        [
+                            (voter, metadata_key(md))
+                            for voter, md in sorted(run._votes.items())
+                        ]
                     ),
                     metadata_key(run._pending_metadata),
-                    self._value_key(run.value),
+                    keys[run.value],
                 )
             )
-        finished = tuple(
-            sorted((run.run_id, run.status.value) for run in cluster.finished_runs)
-        )
+        submitted = self._submitted
         return ClusterSnapshot(
-            sites_up=sites_up,
-            links_up=links_up,
+            sites_up=tuple([(s, topology.is_up(s)) for s in self._site_order]),
+            links_up=tuple(
+                [(edge, topology.link_is_up(*edge)) for edge in self._link_order]
+            ),
             site_state=tuple(site_state),
             active_runs=tuple(active_runs),
-            finished_runs=finished,
-            pending_messages=tuple(sorted(p.key for p in self._pending)),
+            finished_runs=tuple(
+                sorted(
+                    [(run.run_id, run.status.value) for run in cluster._finished_runs]
+                )
+            ),
+            pending_messages=tuple(sorted([p.key for p in self._pending])),
             pending_timers=tuple(sorted(self._timers)),
             budgets=(
                 self._crashes_left,
@@ -622,13 +653,6 @@ class CheckHarness:
                 self._heals_left,
             ),
             ops_remaining=tuple(
-                i
-                for i in range(len(self._workload))
-                if i not in self._submitted
+                [i for i in range(len(self._workload)) if i not in submitted]
             ),
         )
-
-    def _value_key(self, value: object) -> str:
-        """:func:`~repro.check.state.value_key`, one string per distinct key."""
-        key = value_key(value)
-        return self._value_keys.setdefault(key, key)

@@ -31,6 +31,11 @@ violation detail.  The catalog (see docs/CHECKING.md):
     A held lock always has a live justification: its run is still active
     at the coordinator, or the holding site is in doubt on that run
     (no leaked locks; at most one holder per site is structural).
+
+The first three and ``lock-safety`` are state properties
+(:data:`STATE_ORACLES`): they never read the predecessor, so the
+explorer evaluates them once per distinct state.  ``vn-monotone`` and
+``durable-chain`` compare against it and run on every new transition.
 """
 
 from __future__ import annotations
@@ -44,7 +49,13 @@ from .state import ClusterSnapshot
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .harness import CheckHarness
 
-__all__ = ["Violation", "ORACLES", "default_oracle_names", "check_oracles"]
+__all__ = [
+    "Violation",
+    "ORACLES",
+    "STATE_ORACLES",
+    "default_oracle_names",
+    "check_oracles",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,6 +227,14 @@ ORACLES: dict[str, OracleFn] = {
     "durable-chain": durable_chain,
     "lock-safety": lock_safety,
 }
+
+#: The oracles whose verdict is a function of the snapshot alone: they
+#: ignore ``previous``, and what they read live (partitions, metadata,
+#: active runs) the snapshot encodes.  The explorer runs them once per
+#: distinct state; every other oracle runs on every new transition.
+STATE_ORACLES = frozenset(
+    {"no-fork", "participants-only", "at-most-one-distinguished", "lock-safety"}
+)
 
 
 def default_oracle_names() -> tuple[str, ...]:

@@ -4,10 +4,13 @@ Follows the same integration pattern as :mod:`repro.lint.runner`:
 :func:`configure_parser` attaches the subcommand's options and
 :func:`run_from_args` executes a parsed invocation, returning the process
 exit code (0 = all protocols clean, 1 = a violation was found, 2 = usage
-error).  The ``--quick`` preset is the CI configuration: the depth bound
-and workload under which the n=3 state space is exhausted for every
-registered protocol in seconds, and under which the seeded PR-1 fork bug
+error, including a counterexample path that cannot be written).  The
+``--quick`` preset is the CI configuration: the depth bound and workload
+under which the n=3 state space is exhausted for every registered
+protocol in seconds, and under which the seeded fork bug
 (``--inject-fork-bug``) is rediscovered with a minimized counterexample.
+The preset fixes the sites, the workload and the fault budgets, so
+``--quick`` next to any of their options is a usage error.
 """
 
 from __future__ import annotations
@@ -27,10 +30,23 @@ __all__ = ["configure_parser", "run_from_args", "quick_config"]
 #: The --quick preset: calibrated so every registered protocol at n=3
 #: exhausts deterministically in CI time (~7 s per protocol) with enough
 #: depth to reach the seeded fork bug (``--inject-fork-bug``).  Its
-#: counterexample minimizes to 9 steps under the preset's two updates, and
-#: to 7 with ``--updates 1``.
+#: counterexample minimizes to 9 steps under the preset's two updates; the
+#: same search with one update (``--protocol dynamic --inject-fork-bug
+#: --updates 1``, without ``--quick``) minimizes to 7.
 QUICK_DEPTH = 10
 QUICK_UPDATES = 2
+
+#: The options the preset fixes, by :class:`CheckConfig` field.  Their
+#: argparse default is None: one given next to ``--quick`` is rejected
+#: instead of silently ignored, and one left out takes the field's default.
+_PRESET_OPTIONS = {
+    "n_sites": "-n/--sites",
+    "updates": "--updates",
+    "crashes": "--crashes",
+    "recoveries": "--recoveries",
+    "link_cuts": "--link-cuts",
+    "link_heals": "--link-heals",
+}
 
 
 def quick_config(
@@ -58,9 +74,14 @@ def configure_parser(parser) -> None:
     parser.add_argument(
         "-n",
         "--sites",
+        dest="n_sites",
+        metavar="SITES",
         type=int,
-        default=3,
-        help="number of replica sites (default: 3; supported: 2-5)",
+        default=None,
+        help=(
+            f"number of replica sites (default: {CheckConfig.n_sites}; "
+            "supported: 2-5)"
+        ),
     )
     parser.add_argument(
         "--depth",
@@ -71,37 +92,40 @@ def configure_parser(parser) -> None:
     parser.add_argument(
         "--quick",
         action="store_true",
-        help="CI preset: n=3, two updates, no faults, default depth",
+        help=(
+            "CI preset: n=3, two updates, no faults, default depth "
+            "(cannot be combined with -n, --updates or a fault budget)"
+        ),
     )
     parser.add_argument(
         "--updates",
         type=int,
-        default=QUICK_UPDATES,
-        help=f"concurrent workload updates (default: {QUICK_UPDATES})",
+        default=None,
+        help=f"concurrent workload updates (default: {CheckConfig.updates})",
     )
     parser.add_argument(
         "--crashes",
         type=int,
-        default=0,
-        help="site crash budget (default: 0)",
+        default=None,
+        help=f"site crash budget (default: {CheckConfig.crashes})",
     )
     parser.add_argument(
         "--recoveries",
         type=int,
-        default=0,
-        help="site recovery budget (default: 0)",
+        default=None,
+        help=f"site recovery budget (default: {CheckConfig.recoveries})",
     )
     parser.add_argument(
         "--link-cuts",
         type=int,
-        default=0,
-        help="link failure budget (default: 0)",
+        default=None,
+        help=f"link failure budget (default: {CheckConfig.link_cuts})",
     )
     parser.add_argument(
         "--link-heals",
         type=int,
-        default=0,
-        help="link repair budget (default: 0)",
+        default=None,
+        help=f"link repair budget (default: {CheckConfig.link_heals})",
     )
     parser.add_argument(
         "--oracle",
@@ -224,30 +248,35 @@ def run_from_args(args) -> int:
             file=sys.stderr,
         )
         return 2
-    if not 2 <= args.sites <= 5:
+    given = {
+        name: value
+        for name in _PRESET_OPTIONS
+        if (value := getattr(args, name)) is not None
+    }
+    if args.quick and given:
+        flags = ", ".join(_PRESET_OPTIONS[name] for name in given)
         print(
-            f"repro check: sites must be in 2..5, got {args.sites}",
+            "repro check: --quick fixes n=3, two updates and no faults; "
+            f"it cannot be combined with {flags}",
+            file=sys.stderr,
+        )
+        return 2
+    sites = given.get("n_sites", CheckConfig.n_sites)
+    if not 2 <= sites <= 5:
+        print(
+            f"repro check: sites must be in 2..5, got {sites}",
             file=sys.stderr,
         )
         return 2
     reports = []
     exit_code = 0
+    unwritable = None
     for protocol in protocols:
-        if args.quick:
-            config = quick_config(
-                protocol, inject_fork_bug=args.inject_fork_bug
-            )
-        else:
-            config = CheckConfig(
-                protocol=protocol,
-                n_sites=args.sites,
-                updates=args.updates,
-                crashes=args.crashes,
-                recoveries=args.recoveries,
-                link_cuts=args.link_cuts,
-                link_heals=args.link_heals,
-                disable_participants_guard=args.inject_fork_bug,
-            )
+        config = CheckConfig(
+            protocol=protocol,
+            disable_participants_guard=args.inject_fork_bug,
+            **given,
+        )
         try:
             result = Explorer(
                 config=config,
@@ -269,9 +298,13 @@ def run_from_args(args) -> int:
             }
             document = schedule_to_jsonl(schedule, violation, config)
             if args.counterexample:
-                with open(args.counterexample, "w", encoding="utf-8") as out:
-                    out.write(document)
-                report["counterexample"] = args.counterexample
+                try:
+                    with open(args.counterexample, "w", encoding="utf-8") as out:
+                        out.write(document)
+                except OSError as exc:
+                    unwritable = f"cannot write {args.counterexample}: {exc}"
+                else:
+                    report["counterexample"] = args.counterexample
             if not args.json:
                 for line in _report_lines(result):
                     print(line)
@@ -279,7 +312,7 @@ def run_from_args(args) -> int:
                     f"  minimized to {len(schedule)} steps"
                     + (
                         f"; wrote {args.counterexample}"
-                        if args.counterexample
+                        if "counterexample" in report
                         else ""
                     )
                 )
@@ -291,6 +324,11 @@ def run_from_args(args) -> int:
         if result.truncated:
             exit_code = max(exit_code, 1)
         reports.append(report)
+        if unwritable is not None:
+            break
     if args.json:
         print(json.dumps({"results": reports}, sort_keys=True, indent=2))
+    if unwritable is not None:
+        print(f"repro check: {unwritable}", file=sys.stderr)
+        return 2
     return exit_code

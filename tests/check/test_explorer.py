@@ -1,6 +1,12 @@
 """The bounded explorer: deterministic counts, pruning, truncation."""
 
+import gc
+
+import pytest
+
 from repro.check import CheckConfig, Explorer
+from repro.check.oracles import ORACLES
+from repro.errors import CheckError
 
 
 def explore(depth=8, **config_kwargs):
@@ -62,3 +68,51 @@ class TestTruncation:
         result = explore(crashes=1, depth=6)
         assert result.violation is None
         assert result.states > 0
+
+
+class TestDepthBound:
+    def test_negative_depth_is_rejected(self):
+        with pytest.raises(CheckError, match="depth must be nonnegative"):
+            Explorer(config=CheckConfig(), depth=-1)
+
+    def test_depth_zero_checks_the_root_alone(self):
+        result = explore(depth=0)
+        assert result.ok
+        assert (result.states, result.transitions) == (1, 0)
+        assert result.frontier_cutoffs == 1
+
+
+@pytest.fixture
+def collector():
+    """Restore the collector's setting whatever a test leaves behind."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+class TestCollector:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_pauses_the_collector_and_restores_it(
+        self, monkeypatch, collector, enabled
+    ):
+        during = set()
+
+        def probe(harness, snapshot, previous):
+            during.add(gc.isenabled())
+            return None
+
+        monkeypatch.setitem(ORACLES, "gc-probe", probe)
+        (gc.enable if enabled else gc.disable)()
+        result = Explorer(
+            config=CheckConfig(), depth=4, oracles=("gc-probe",)
+        ).run()
+        assert result.ok
+        assert during == {False}
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_a_failing_run_restores_the_collector(self, collector, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(CheckError, match="unknown oracle"):
+            Explorer(config=CheckConfig(), depth=4, oracles=("nope",)).run()
+        assert gc.isenabled() is enabled

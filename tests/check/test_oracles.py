@@ -1,5 +1,7 @@
 """The invariant oracle catalog."""
 
+import dataclasses
+
 import pytest
 
 from repro.check import (
@@ -63,3 +65,51 @@ class TestForkDetection:
             oracles=("vn-monotone",),
         ).run()
         assert result.violation is None
+
+
+def _with_histories(snapshot, **histories):
+    """``snapshot`` with the named sites' histories replaced."""
+    records = tuple(
+        (*record[:3], histories.get(record[0], record[3]), *record[4:])
+        for record in snapshot.site_state
+    )
+    return dataclasses.replace(snapshot, site_state=records)
+
+
+class TestHistoryOracles:
+    """no-fork and durable-chain on hand-edited histories."""
+
+    V0 = (0, "'v0'", 0)
+    U1 = (1, "'u1'", 1)
+
+    @pytest.fixture
+    def harness(self):
+        return CheckHarness(CheckConfig(protocol="dynamic", n_sites=3))
+
+    def test_conflicting_installs_fork(self, harness):
+        snapshot = _with_histories(
+            harness.snapshot(), A=(self.V0, self.U1), B=(self.V0, (1, "'u2'", 2))
+        )
+        assert ORACLES["no-fork"](harness, snapshot, None) == (
+            "forked history: version 1: (1, \"'u1'\") vs (2, \"'u2'\") at B"
+        )
+
+    def test_a_gap_breaks_the_chain(self, harness):
+        snapshot = _with_histories(harness.snapshot(), A=(self.V0, (2, "'u2'", 2)))
+        detail = ORACLES["durable-chain"](harness, snapshot, None)
+        assert detail == "committed chain has gaps: missing versions [1]"
+
+    def test_a_lost_or_rewritten_version(self, harness):
+        root = harness.snapshot()
+        committed = _with_histories(root, A=(self.V0, self.U1))
+        rewritten = _with_histories(root, B=(self.V0, (1, "'u2'", 2)))
+        durable_chain = ORACLES["durable-chain"]
+        assert durable_chain(harness, committed, root) is None
+        assert durable_chain(harness, committed, committed) is None
+        assert durable_chain(harness, root, committed) == (
+            "committed version 1 (1, \"'u1'\") was lost or rewritten to None"
+        )
+        assert durable_chain(harness, rewritten, committed) == (
+            "committed version 1 (1, \"'u1'\") was lost or rewritten to "
+            "(2, \"'u2'\")"
+        )

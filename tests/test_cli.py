@@ -318,6 +318,92 @@ class TestCheckCommand:
         assert main(["check", "--protocol", "nope"]) == 2
         assert "unknown protocol" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("option", "flag"),
+        [
+            (["-n", "4"], "-n/--sites"),
+            (["--sites", "3"], "-n/--sites"),
+            (["--updates", "1"], "--updates"),
+            (["--crashes", "1"], "--crashes"),
+            (["--recoveries", "0"], "--recoveries"),
+            (["--link-cuts", "1"], "--link-cuts"),
+            (["--link-heals", "1"], "--link-heals"),
+        ],
+    )
+    def test_quick_rejects_an_option_it_fixes(self, capsys, option, flag):
+        code = main(["check", "--quick", "--protocol", "hybrid", *option])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--quick" in captured.err and flag in captured.err
+
+    @pytest.mark.parametrize("inject", [False, True])
+    def test_quick_is_the_default_configuration(self, inject):
+        # `--quick` builds no configuration of its own: it relies on the
+        # defaults being the preset that perfbench and the tests use.
+        from repro.check import CheckConfig
+        from repro.check.runner import quick_config
+
+        assert quick_config("hybrid", inject_fork_bug=inject) == CheckConfig(
+            protocol="hybrid", disable_participants_guard=inject
+        )
+
+    def test_quick_names_every_conflicting_option(self, capsys):
+        code = main(
+            ["check", "--quick", "--crashes", "1", "--recoveries", "1", "--depth", "9"]
+        )
+        assert code == 2
+        assert "--crashes, --recoveries" in capsys.readouterr().err
+
+    def test_quick_takes_a_depth_and_the_fork_switch(self, capsys):
+        code = main(
+            ["check", "--quick", "--protocol", "dynamic", "--depth", "4", "--json"]
+        )
+        assert code == 0
+        (result,) = json.loads(capsys.readouterr().out)["results"]
+        assert (result["sites"], result["depth"]) == (3, 4)
+        code = main(["check", "--quick", "--protocol", "dynamic", "--inject-fork-bug"])
+        assert code == 1
+
+    def test_negative_depth_is_a_usage_error(self, capsys):
+        assert main(["check", "--protocol", "dynamic", "--depth", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "depth must be nonnegative" in captured.err
+        assert "no invariant violations" not in captured.out
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_unwritable_counterexample_is_a_usage_error(
+        self, tmp_path, capsys, as_json
+    ):
+        path = tmp_path / "missing" / "fork.jsonl"
+        code = main(
+            [
+                "check",
+                "--protocol",
+                "dynamic",
+                "--updates",
+                "1",
+                "--depth",
+                "8",
+                "--inject-fork-bug",
+                "--counterexample",
+                str(path),
+                *(["--json"] if as_json else []),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"repro check: cannot write {path}: " in captured.err
+        assert "Traceback" not in captured.err
+        assert not path.exists()
+        if as_json:
+            (result,) = json.loads(captured.out)["results"]
+            assert result["violation"]["oracle"] == "participants-only"
+            assert "counterexample" not in result
+        else:
+            assert "VIOLATION" in captured.out
+            assert "minimized to 7 steps\n" in captured.out
+
     def test_modified_hybrid_at_two_sites_names_its_minimum(self, capsys):
         assert main(["check", "--protocol", "modified-hybrid", "-n", "2"]) == 2
         err = capsys.readouterr().err
