@@ -75,17 +75,19 @@ LUMP_MIN_SPEEDUP = 5.0
 LARGE_N = 25
 LARGE_GRID = [0.1 + 19.9 * i / 59 for i in range(60)]
 LARGE_PROTOCOLS = ("dynamic", "hybrid", "optimal-candidate")
-#: Ceiling on the *enabled* causal-tracing tax over a trace-only netsim
-#: run.  Full-fidelity DAG emission (one causal event per send, deliver,
-#: timer, vote, commit, install) measures ~2.1-2.6x on this op-dense
-#: micro-workload -- the workload is nothing but traced protocol steps,
-#: so this is the worst case, and the bound is a blowup guard, not a
-#: cost-free claim.  The ≤5% contract belongs to the *disabled* default:
-#: ``causal=False`` shares the NULL_CAUSAL null object (asserted below),
-#: and the sim layer (both Monte-Carlo backends) has no causal seam at
-#: all (also asserted below), so those paths pay one attribute check at
-#: most.
-CAUSAL_ENABLED_CEILING = 4.0
+#: Ceiling on the *enabled* tracing tax: traced over untraced netsim.
+#: Tracing emits one causal event per transition (send, deliver, timer,
+#: vote, commit, install, topology change) and nothing else; this measures
+#: ~3.5-4x on this op-dense micro-workload (median 3.7 over 16 min-of-5
+#: readings, 2-core x86_64 VM) -- the workload is nothing but traced
+#: protocol steps, so this is the worst case, and the bound is a blowup
+#: guard, not a cost-free claim.  It keeps the 1.5x headroom the earlier
+#: guard (causal over trace-only, <= 4.0 against a median of 2.6) had.  The ≤5% contract belongs to the
+#: *disabled* default: an untraced cluster shares the NULL_CAUSAL null
+#: object (asserted below), and the sim layer (both Monte-Carlo backends)
+#: has no causal seam at all (also asserted below), so those paths pay
+#: one attribute check at most.
+TRACED_CEILING = 5.6
 #: Rounds of the scripted netsim workload per causal-overhead batch.
 CAUSAL_ROUNDS = 20
 
@@ -331,6 +333,7 @@ def test_perf_scaling_smoke(bench_manifest):
     trace_s = _netsim_rounds(True, False)
     causal_s = _netsim_rounds(True, True)
     causal_ratio = causal_s / trace_s
+    traced_ratio = causal_s / off_s
     disabled = ReplicaCluster(make_protocol("hybrid", site_names(3)))
     assert disabled.causal is NULL_CAUSAL, (
         "causal=False must share the NULL_CAUSAL null object (per-cluster "
@@ -342,9 +345,9 @@ def test_perf_scaling_smoke(bench_manifest):
             f"{source.name}: the sim layer (both Monte-Carlo backends) must "
             "stay causal-free -- tracing enabled or not, MC pays nothing"
         )
-    assert causal_ratio <= CAUSAL_ENABLED_CEILING, (
-        f"enabled causal tracing costs {causal_ratio:.2f}x over trace-only "
-        f"netsim (blowup guard: <= {CAUSAL_ENABLED_CEILING:.1f}x)"
+    assert traced_ratio <= TRACED_CEILING, (
+        f"enabled tracing costs {traced_ratio:.2f}x over untraced netsim "
+        f"(blowup guard: <= {TRACED_CEILING:.1f}x)"
     )
     rows.append(
         [f"netsim causal trace ({CAUSAL_ROUNDS} rounds)", trace_s, causal_s,

@@ -146,11 +146,9 @@ def schedule_to_jsonl(
     )
     replay = CheckHarness(config, causal=True)
     replay.replay(list(schedule))
-    if replay.cluster.trace_log is not None:
-        for event in replay.cluster.trace_log.category("causal"):
-            log.record(
-                event.time, event.category, event.description, **dict(event.fields)
-            )
+    assert replay.cluster.trace_log is not None  # a causal harness traces
+    for event in replay.cluster.trace_log.events:
+        log.append(event)
     return log.to_jsonl() + "\n"
 
 

@@ -142,6 +142,8 @@ class Explorer:
     def __post_init__(self) -> None:
         if self.depth < 0:
             raise CheckError(f"depth must be nonnegative, got {self.depth}")
+        if self.max_states is not None and self.max_states < 1:
+            raise CheckError(f"max-states must be positive, got {self.max_states}")
 
     def run(self) -> CheckResult:
         """Explore and return the (deterministic) result."""

@@ -49,9 +49,7 @@ _PRESET_OPTIONS = {
 }
 
 
-def quick_config(
-    protocol: str, *, inject_fork_bug: bool = False
-) -> CheckConfig:
+def quick_config(protocol: str, *, inject_fork_bug: bool = False) -> CheckConfig:
     """The quick-preset configuration for one protocol."""
     return CheckConfig(
         protocol=protocol,
@@ -238,9 +236,7 @@ def run_from_args(args) -> int:
             file=sys.stderr,
         )
         return 2
-    oracles = (
-        tuple(args.oracle) if args.oracle else default_oracle_names()
-    )
+    oracles = tuple(args.oracle) if args.oracle else default_oracle_names()
     unknown = set(oracles) - set(default_oracle_names())
     if unknown:
         print(

@@ -12,8 +12,8 @@ Subcommands map to the experiment index of DESIGN.md::
     repro crossover --first hybrid --second dynamic -n 5
     repro lint src/repro                # replint static analysis
     repro check --quick                 # explicit-state model checking
-    repro trace --protocol hybrid -n 3  # message-level protocol trace
-    repro trace causal -n 3 --jsonl     # causal-DAG export
+    repro trace --protocol hybrid -n 3  # message-level protocol transcript
+    repro trace -n 3 --jsonl            # causal-DAG export
     repro trace critical-path -n 3      # per-phase commit latency
     repro trace assert --input ce.jsonl # happens-before assertion catalog
     repro validate-manifest out.json    # check a run manifest's schema
@@ -21,8 +21,8 @@ Subcommands map to the experiment index of DESIGN.md::
 Observability: ``simulate`` and ``compare`` accept ``--metrics`` (print
 the metric registry) and ``--manifest PATH`` (write a machine-readable
 run manifest, docs/OBSERVABILITY.md); ``trace --jsonl`` emits the
-structured event log one JSON object per line, and the ``trace`` causal
-modes reconstruct the operation DAG from that export alone
+causal event log one JSON object per line, and the transcript and the
+``trace`` causal modes reconstruct what they show from those events alone
 (docs/OBSERVABILITY.md, "Causal tracing & SLOs").
 """
 
@@ -39,14 +39,14 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .check import runner as check_runner
-from .errors import BenchError, ReproError
+from .errors import BenchError, ObservabilityError, ReproError
 from .lint import runner as lint_runner
+from .obs.query import TRANSCRIPT_CATEGORIES
 
 if TYPE_CHECKING:
     from .bench import BenchRecord
     from .netsim import ReplicaCluster
     from .obs import MetricsRegistry
-    from .obs.trace import TraceLog
 
 __all__ = ["main", "build_parser"]
 
@@ -197,9 +197,10 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Runs a fixed, deterministic netsim workload (update; fail the "
             "last site; update under failure; repair and restart; read) and "
-            "prints the structured trace.  With --jsonl every event is one "
-            "JSON object per line for machine consumption.  The optional "
-            "mode switches to the causal-trace toolchain "
+            "prints its transcript, derived from the run's causal events.  "
+            "With --jsonl those events are printed instead, one JSON object "
+            "per line.  The optional mode switches to the causal-trace "
+            "toolchain "
             "(docs/OBSERVABILITY.md): `causal` exports the causally-"
             "parented event DAG, `critical-path` reconstructs each "
             "committed operation's submit->commit path with a per-phase "
@@ -218,17 +219,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", default="hybrid")
     p.add_argument("-n", "--sites", type=int, default=3)
     p.add_argument("--jsonl", action="store_true",
-                   help="emit events as JSON lines instead of rendered text")
+                   help="emit the causal events as JSON lines instead of "
+                        "the transcript")
     p.add_argument(
         "--categories", nargs="+", default=None,
+        choices=TRANSCRIPT_CATEGORIES,
         metavar="CAT",
-        help="restrict output to these event categories "
-             "(run, topology, message, lock, span, causal)",
+        help="restrict the transcript to these record categories "
+             f"({', '.join(TRANSCRIPT_CATEGORIES)})",
     )
     p.add_argument(
         "--input", default=None, metavar="FILE",
         help="read a causal JSONL export instead of running the scripted "
-             "workload (causal-trace modes only)",
+             "workload",
     )
     p.add_argument(
         "--seed", type=int, default=0,
@@ -396,56 +399,60 @@ def _scripted_workload(
     return cluster
 
 
-def _scripted_trace(
-    protocol: str, n_sites: int, *, causal: bool = False, seed: int = 0
-) -> TraceLog:
-    """The trace log of one scripted workload (``trace=True`` always)."""
-    cluster = _scripted_workload(
-        protocol, n_sites, trace=True, causal=causal, seed=seed
-    )
-    log = cluster.trace_log
-    assert log is not None  # trace=True above
-    return log
-
-
-def _causal_jsonl(args: argparse.Namespace) -> str:
-    """The causal JSONL text a trace mode operates on.
+def _run_trace(args: argparse.Namespace) -> int:
+    """``repro trace``: the transcript, the export and the causal modes.
 
     ``--input`` reads an existing export (netsim telemetry or a
     ``repro check`` counterexample -- one shared format); otherwise the
-    scripted workload runs with causal tracing on and its export is used.
-    Either way downstream queries see *only* the JSONL, proving the DAG
-    is reconstructible from the export alone.
+    scripted workload runs traced.  Either way every output is computed
+    from the causal events alone.
     """
     from .netsim import reset_run_ids
-
-    if args.input is not None:
-        return Path(args.input).read_text(encoding="utf-8")
-    # Rewind the process-wide run-id counter so same-seed exports are
-    # byte-identical however many traces ran before in this process.
-    reset_run_ids()
-    log = _scripted_trace(
-        args.protocol, args.sites, causal=True, seed=args.seed
+    from .obs import (
+        CausalDag,
+        active_profiler,
+        assertion_names,
+        check_assertions,
+        operation_stats,
+        spans,
+        transcript,
     )
-    return log.to_jsonl()
 
-
-def _run_trace(args: argparse.Namespace) -> int:
-    """``repro trace`` and its causal-trace modes."""
-    from .obs import CausalDag, assertion_names, check_assertions, operation_stats
-
-    if args.mode is None:
-        log = _scripted_trace(args.protocol, args.sites)
-        categories = tuple(args.categories) if args.categories else None
-        if args.jsonl:
-            for line in log.iter_jsonl(categories):
-                print(line)
-        else:
-            print(log.render(categories))
+    if args.categories and (args.jsonl or args.mode is not None):
+        print(
+            "repro trace: --categories filters the transcript; it cannot be "
+            "combined with --jsonl or a causal mode",
+            file=sys.stderr,
+        )
+        return 2
+    drop_notice = None  # a full log still ends its transcript with its drops
+    if args.input is not None:
+        text = Path(args.input).read_text(encoding="utf-8")
+        dag = CausalDag.from_jsonl(text)
+        if not len(dag):
+            raise ObservabilityError(f"{args.input} holds no causal event")
+    else:
+        # Rewind the process-wide run-id counter so same-seed traces are
+        # byte-identical however many traces ran before in this process.
+        reset_run_ids()
+        log = _scripted_workload(
+            args.protocol, args.sites, trace=True, seed=args.seed
+        ).trace_log
+        assert log is not None  # trace=True above
+        text = log.to_jsonl()
+        dag = CausalDag.from_events(log.events)
+        drop_notice = log.drop_notice() if log.dropped else None
+    profiler = active_profiler()
+    if profiler is not None:
+        profiler.fold(spans(dag))
+    if args.mode is None and not args.jsonl:
+        for record in transcript(dag):
+            if not args.categories or record.category in args.categories:
+                print(record.render())
+        if drop_notice is not None:
+            print(drop_notice)
         return 0
-    text = _causal_jsonl(args)
-    dag = CausalDag.from_jsonl(text)
-    if args.mode == "causal":
+    if args.mode in (None, "causal"):
         if args.jsonl:
             for line in text.splitlines():
                 if line.strip() and json.loads(line).get("category") == "causal":

@@ -95,7 +95,7 @@ class PerfError(ReproError):
 
 
 class ObservabilityError(ReproError):
-    """Telemetry misuse (closing spans out of order, metric type clashes)."""
+    """Telemetry misuse (folding an open span, metric type clashes)."""
 
 
 class ManifestError(ObservabilityError):

@@ -26,7 +26,6 @@ from ..obs.causal import (
     NullCausalTracer,
 )
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from ..obs.spans import NULL_TRACKER, SpanTracker
 from ..obs.trace import TraceLog
 from ..sim.engine import EventHandle, Simulator
 from ..sim.topology import Topology
@@ -60,17 +59,20 @@ class ReplicaCluster:
     metrics:
         An optional :class:`~repro.obs.metrics.MetricsRegistry`; when
         given, the cluster records message counts by type, run outcomes,
-        vote replies, lock waits, and phase-span durations under the
-        ``netsim.*`` names documented in docs/OBSERVABILITY.md.  When
-        omitted the shared disabled registry is used and the hot paths
-        skip recording entirely.
-    causal:
-        When True, every submitted operation mints a causal trace context
-        and the cluster emits the causally-parented ``causal`` events of
-        :mod:`repro.obs.causal` into the trace log (created on demand if
-        ``trace`` is off), keyed by ``causal_seed`` for deterministic
-        trace ids.  When False the shared null tracer is used and the hot
-        paths pay a single attribute check.
+        vote replies and lock waits under the ``netsim.*`` and ``op.*``
+        names documented in docs/OBSERVABILITY.md.  When omitted the
+        shared disabled registry is used and the hot paths skip recording
+        entirely.
+    trace, causal:
+        One switch: either turns tracing on.  Every submitted operation
+        and every topology change then mints a causal trace context, and
+        the cluster emits the causally-parented ``causal`` events of
+        :mod:`repro.obs.causal` into :attr:`trace_log`, keyed by
+        ``causal_seed`` for deterministic trace ids.  Those events are
+        the only emission: the transcript, the spans and the sim-time
+        profile are views of them (:mod:`repro.obs.query`).  Untraced,
+        the shared null tracer is used and the hot paths pay a single
+        attribute check.
     """
 
     def __init__(
@@ -95,22 +97,17 @@ class ReplicaCluster:
         self.simulator = Simulator()
         self.topology = Topology(sorted(protocol.sites), links)
         self.metrics = metrics if metrics is not None else NULL_REGISTRY
-        self.trace_log: TraceLog | None = TraceLog() if (trace or causal) else None
-        if trace or self.metrics.enabled:
-            self.spans = SpanTracker(self.trace_log, self.metrics)
-        else:
-            self.spans = NULL_TRACKER
-        self.causal: CausalTracer | NullCausalTracer
-        if causal:
-            assert self.trace_log is not None
+        self.trace_log: TraceLog | None = None
+        self.causal: CausalTracer | NullCausalTracer = NULL_CAUSAL
+        if trace or causal:
+            self.trace_log = TraceLog()
             self.causal = CausalTracer(self.trace_log, causal_seed)
-        else:
-            self.causal = NULL_CAUSAL
+        # Topology changes so far: each one's causal root is named by it.
+        self._topology_changes = 0
         self.network = MessageNetwork(
             self.simulator,
             self.topology,
             latency,
-            observer=self.trace_log.record if trace else None,
             metrics=self.metrics,
             transport=transport,
             causal=self.causal,
@@ -144,27 +141,38 @@ class ReplicaCluster:
         """The node object at a site."""
         return self._nodes[site]
 
-    def _record(self, category: str, description: str, **fields: object) -> None:
-        if self.trace_log is not None:
-            self.trace_log.record(self.simulator.now, category, description, **fields)
+    def _topology_root(self, kind: str, **fields: object) -> None:
+        """Emit a topology change as the root of a trace of its own.
+
+        Named by a per-cluster counter and ticking no site's Lamport
+        clock, so the operations' trace ids, event ids and clocks are the
+        same as in a run that records no topology changes.
+        """
+        if self.causal.enabled:
+            self._topology_changes += 1
+            self.causal.begin(
+                f"topology:{self._topology_changes}",
+                kind,
+                self.simulator.now,
+                tick=False,
+                **fields,
+            )
 
     def fail_site(self, site: SiteId) -> None:
         """Fail a site: volatile state is wiped, its runs die."""
         self.topology.fail_site(site)
-        self._record("topology", f"site {site} failed", event="site-failure", site=site)
+        self._topology_root("site-failure", site=site)
         if self.metrics.enabled:
             self.metrics.counter("netsim.topology.site-failures").inc()
         self._nodes[site].on_failure()
         for run in list(self._runs.values()):
-            if run.site == site and not run.finished:
+            if run.site == site:
                 run.on_coordinator_failure()
-                self._runs.pop(run.run_id, None)
-                self._finished_runs.append(run)
 
     def repair_site(self, site: SiteId, run_restart: bool = True) -> ProtocolRun | None:
         """Repair a site; by default immediately run Make_Current there."""
         self.topology.repair_site(site)
-        self._record("topology", f"site {site} repaired", event="site-repair", site=site)
+        self._topology_root("site-repair", site=site)
         if self.metrics.enabled:
             self.metrics.counter("netsim.topology.site-repairs").inc()
         if run_restart:
@@ -174,16 +182,12 @@ class ReplicaCluster:
     def fail_link(self, a: SiteId, b: SiteId) -> None:
         """Fail a communication link."""
         self.topology.fail_link(a, b)
-        self._record(
-            "topology", f"link {a}-{b} failed", event="link-failure", link=[a, b]
-        )
+        self._topology_root("link-failure", link=[a, b])
 
     def repair_link(self, a: SiteId, b: SiteId) -> None:
         """Repair a communication link."""
         self.topology.repair_link(a, b)
-        self._record(
-            "topology", f"link {a}-{b} repaired", event="link-repair", link=[a, b]
-        )
+        self._topology_root("link-repair", link=[a, b])
 
     # ------------------------------------------------------------------ #
     # Operations
@@ -210,13 +214,6 @@ class ReplicaCluster:
 
     def _submit(self, run: ProtocolRun) -> ProtocolRun:
         self._runs[run.run_id] = run
-        self._record(
-            "run",
-            f"run {run.run_id} [{run.kind.value}] submitted at {run.site}",
-            run_id=run.run_id,
-            kind=run.kind.value,
-            site=run.site,
-        )
         if self.metrics.enabled:
             self.metrics.counter(f"netsim.run.submitted.{run.kind.value}").inc()
         start = run.start
@@ -335,14 +332,6 @@ class ReplicaCluster:
         """Callback from a run reaching a terminal status."""
         self._runs.pop(run.run_id, None)
         self._finished_runs.append(run)
-        self._record(
-            "run",
-            run.describe(),
-            run_id=run.run_id,
-            kind=run.kind.value,
-            site=run.site,
-            status=run.status.value,
-        )
         if self.metrics.enabled:
             self.metrics.counter(f"netsim.run.{run.status.value}").inc()
             if run.latency is not None:

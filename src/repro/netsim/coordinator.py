@@ -98,8 +98,6 @@ class ProtocolRun:
         self._pending_metadata: ReplicaMetadata | None = None
         self.submitted_at: float = cluster.simulator.now
         self.finished_at: float | None = None
-        self._span = None
-        self._phase_span = None
         # Causal tracing: the run's latest own event (starts as the root
         # "submit" context minted by the cluster) and each voter's "vote"
         # event, joined into the votes-closed decision point.
@@ -144,13 +142,6 @@ class ProtocolRun:
         if not self._cluster.topology.is_up(self.site):
             self._finish(RunStatus.FAILED, "coordinator site is down")
             return
-        self._span = self._cluster.spans.open(
-            "run",
-            self._cluster.simulator.now,
-            run_id=self.run_id,
-            kind=self.kind.value,
-            site=self.site,
-        )
         self._phase = _Phase.LOCKING
         self._timer = self._cluster.schedule_timer(
             self._cluster.lock_timeout,
@@ -172,12 +163,6 @@ class ProtocolRun:
             return
         self._cancel_timer()
         self._phase = _Phase.VOTING
-        self._phase_span = self._cluster.spans.open(
-            "vote",
-            self._cluster.simulator.now,
-            parent=self._span,
-            run_id=self.run_id,
-        )
         causal = self._cluster.causal
         if causal.enabled:
             # self.ctx is the run's root; the current context adds the
@@ -237,7 +222,6 @@ class ProtocolRun:
     def _votes_closed(self) -> None:
         if self._phase is not _Phase.VOTING:
             return
-        self._close_phase_span(votes=len(self._votes))
         causal = self._cluster.causal
         if causal.enabled:
             # The join point: the decision causally follows every vote
@@ -301,13 +285,6 @@ class ProtocolRun:
             self._commit(self.value)
             return
         self._phase = _Phase.CATCH_UP
-        self._phase_span = self._cluster.spans.open(
-            "catch-up",
-            self._cluster.simulator.now,
-            parent=self._span,
-            run_id=self.run_id,
-            donor=donors[0],
-        )
         self._cluster.network.send(
             self.site, donors[0], CatchUpRequest(self.run_id, self.site)
         )
@@ -328,7 +305,6 @@ class ProtocolRun:
         if self._phase is not _Phase.CATCH_UP:
             return
         self._cancel_timer()
-        self._close_phase_span(donor=message.sender)
         if self.kind is RunKind.READ:
             self.result = message.value
             self._abort_everywhere(RunStatus.COMPLETED, "read served by catch-up")
@@ -418,45 +394,13 @@ class ProtocolRun:
 
     def on_coordinator_failure(self) -> None:
         """The coordinating site failed mid-run (volatile state is gone)."""
-        if self.finished:
-            return
-        self._cancel_timer()
-        self._phase = _Phase.DONE
-        self.status = RunStatus.FAILED
-        self.reason = "coordinator failed"
-        self.finished_at = self._cluster.simulator.now
-        self._close_spans(RunStatus.FAILED)
-        causal = self._cluster.causal
-        if causal.enabled:
-            causal.emit(
-                "finish",
-                self.finished_at,
-                parents=(self.ctx, causal.current),
-                site=self.site,
-                run_id=self.run_id,
-                status=RunStatus.FAILED.value,
-                latency=self.latency,
-                phase="decision",
-            )
+        if not self.finished:
+            self._finish(RunStatus.FAILED, "coordinator failed")
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-
-    def _close_phase_span(self, **fields: object) -> None:
-        if self._phase_span is not None:
-            self._phase_span.close_if_open(self._cluster.simulator.now, **fields)
-            self._phase_span = None
-
-    def _close_spans(self, status: RunStatus) -> None:
-        """Close any open spans, innermost first (the tracker enforces LIFO)."""
-        now = self._cluster.simulator.now
-        if self._phase_span is not None:
-            self._phase_span.close_if_open(now, status=status.value)
-            self._phase_span = None
-        if self._span is not None:
-            self._span.close_if_open(now, status=status.value)
 
     @property
     def latency(self) -> float | None:
@@ -471,7 +415,6 @@ class ProtocolRun:
         self.status = status
         self.reason = reason
         self.finished_at = self._cluster.simulator.now
-        self._close_spans(status)
         causal = self._cluster.causal
         if causal.enabled:
             causal.emit(
@@ -481,6 +424,7 @@ class ProtocolRun:
                 site=self.site,
                 run_id=self.run_id,
                 status=status.value,
+                reason=reason,
                 latency=self.latency,
                 phase="decision",
             )

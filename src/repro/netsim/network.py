@@ -28,9 +28,7 @@ __all__ = ["MessageNetwork"]
 class MessageNetwork:
     """Deliver messages between sites over a failing topology.
 
-    ``observer`` receives structured trace records
-    (``observer(time, category, description, **fields)``); ``metrics``
-    (optional) collects per-message-type counters under
+    ``metrics`` (optional) collects per-message-type counters under
     ``netsim.message.*``; ``causal`` (optional) is the cluster's
     :class:`~repro.obs.causal.CausalTracer` -- when enabled, every send
     stamps the outgoing message with its send event's context, and every
@@ -42,7 +40,6 @@ class MessageNetwork:
         simulator: Simulator,
         topology: Topology,
         latency: float = 0.01,
-        observer: Callable[..., None] | None = None,
         metrics: MetricsRegistry | None = None,
         transport: Callable[[SiteId, SiteId, Message], None] | None = None,
         causal: CausalTracer | NullCausalTracer | None = None,
@@ -52,7 +49,6 @@ class MessageNetwork:
         self._simulator = simulator
         self._topology = topology
         self._latency = latency
-        self._observer = observer
         self._metrics = metrics if metrics is not None else NULL_REGISTRY
         self._causal = causal if causal is not None else NULL_CAUSAL
         self._transport = transport
@@ -169,19 +165,6 @@ class MessageNetwork:
                     reason=lost_reason,
                     phase=MESSAGE_PHASES.get(name, "message"),
                 )
-            if self._observer is not None:
-                self._observer(
-                    self._simulator.now,
-                    "message",
-                    f"{source} -> {destination} "
-                    f"{type(message).__name__}(run {message.run_id}) "
-                    f"LOST ({lost_reason})",
-                    source=source,
-                    destination=destination,
-                    message=type(message).__name__,
-                    run_id=message.run_id,
-                    lost=lost_reason,
-                )
             return lost_reason
         handler = self._handlers.get(destination)
         if handler is None:
@@ -192,17 +175,6 @@ class MessageNetwork:
             self._metrics.counter(
                 f"netsim.message.delivered.{type(message).__name__}"
             ).inc()
-        if self._observer is not None:
-            self._observer(
-                self._simulator.now,
-                "message",
-                f"{source} -> {destination} {type(message).__name__}"
-                f"(run {message.run_id})",
-                source=source,
-                destination=destination,
-                message=type(message).__name__,
-                run_id=message.run_id,
-            )
         if self._causal.enabled:
             name = type(message).__name__
             ctx = self._causal.emit(

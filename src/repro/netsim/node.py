@@ -64,7 +64,6 @@ class _InDoubt:
 
     coordinator: SiteId
     timer: Any = None  # EventHandle of the next termination-protocol probe
-    span: Any = None   # open "in-doubt" Span, if telemetry is on
 
 
 class Node:
@@ -101,10 +100,6 @@ class Node:
         for record in self._in_doubt.values():
             if record.timer is not None:
                 record.timer.cancel()
-            if record.span is not None:
-                record.span.close_if_open(
-                    self._cluster.simulator.now, outcome="site-failed"
-                )
         self._in_doubt.clear()
 
     # ------------------------------------------------------------------ #
@@ -190,16 +185,7 @@ class Node:
                 coordinator=sender,
                 phase="vote",
             )
-        self._in_doubt[run_id] = _InDoubt(
-            coordinator=sender,
-            span=self._cluster.spans.open(
-                "in-doubt",
-                self._cluster.simulator.now,
-                run_id=run_id,
-                site=self.site,
-                coordinator=sender,
-            ),
-        )
+        self._in_doubt[run_id] = _InDoubt(coordinator=sender)
         with causal.scope(ctx):
             self._schedule_termination_probe(run_id)
             self._cluster.network.send(
@@ -244,11 +230,8 @@ class Node:
     def _settle(self, run_id: int) -> None:
         """Release the lock and stop the termination probe for a run."""
         record = self._in_doubt.pop(run_id, None)
-        if record is not None:
-            if record.timer is not None:
-                record.timer.cancel()
-            if record.span is not None:
-                record.span.close_if_open(self._cluster.simulator.now)
+        if record is not None and record.timer is not None:
+            record.timer.cancel()
         self.locks.release_if_involved(run_id)
 
     def _on_catch_up_request(self, sender: SiteId, message: CatchUpRequest) -> None:

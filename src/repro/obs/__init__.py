@@ -14,12 +14,12 @@ The observability layer sits just above :mod:`repro.errors` /
 * :mod:`repro.obs.causal` -- causal trace contexts (trace id, event id,
   Lamport clock) and the :class:`CausalTracer` that records the
   causally-parented ``causal`` event DAG (null-object
-  :data:`NULL_CAUSAL` when disabled).
+  :data:`NULL_CAUSAL` when disabled) -- the only thing netsim emits.
 * :mod:`repro.obs.query` -- the trace-query engine over exported causal
   DAGs: happens-before assertions, critical-path extraction with
-  per-phase latency breakdown, per-operation stats.
-* :mod:`repro.obs.spans` -- sim-time :class:`Span` intervals (vote
-  rounds, catch-up, in-doubt windows) with LIFO nesting enforcement.
+  per-phase latency breakdown, per-operation stats, and the views derived
+  from the DAG: sim-time :class:`Span` intervals (runs, vote rounds,
+  catch-up, in-doubt windows) and the flat ``repro trace`` transcript.
 * :mod:`repro.obs.clock` -- the only module allowed to read the wall
   clock (replint REP002 exempts exactly that file).
 * :mod:`repro.obs.profile` -- the deterministic :class:`SpanProfiler`
@@ -74,11 +74,13 @@ from .query import (
     CriticalPath,
     OperationStats,
     PathSegment,
+    Span,
     assertion_names,
     check_assertions,
     operation_stats,
+    spans,
+    transcript,
 )
-from .spans import NULL_TRACKER, Span, SpanTracker
 from .trace import TraceEvent, TraceLog
 
 __all__ = [
@@ -97,6 +99,9 @@ __all__ = [
     "assertion_names",
     "check_assertions",
     "operation_stats",
+    "Span",
+    "spans",
+    "transcript",
     "Counter",
     "Gauge",
     "Histogram",
@@ -105,9 +110,6 @@ __all__ = [
     "NULL_REGISTRY",
     "global_registry",
     "use",
-    "Span",
-    "SpanTracker",
-    "NULL_TRACKER",
     "SpanProfiler",
     "active_profiler",
     "hotpath",

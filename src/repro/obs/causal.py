@@ -5,9 +5,12 @@ event id, and a Lamport timestamp.  The context travels with every netsim
 message and timer, and each protocol step (send, deliver, lock grant,
 vote, commit, install, abort) emits one ``TraceEvent`` of category
 ``causal`` whose ``parents`` field names the event ids it causally follows.
-The full submit -> lock -> vote -> commit DAG is therefore reconstructible
-from the JSONL export alone; :mod:`repro.obs.query` parses it back and
-answers happens-before and critical-path questions.
+Each topology change (site or link failure and repair) is a root of its
+own.  These events are the only thing a traced cluster emits: the full
+submit -> lock -> vote -> commit DAG is reconstructible from the JSONL
+export alone, and :mod:`repro.obs.query` parses it back, answers
+happens-before and critical-path questions, and derives the flat
+transcript and the sim-time spans from it.
 
 Determinism: trace ids are keyed by ``derive_trace_id(seed, name)``, the
 same ``sha256(f"{seed}:{name}")`` derivation as
@@ -151,11 +154,17 @@ class CausalTracer:
         time: float,
         *,
         site: object = None,
+        tick: bool = True,
         **fields: object,
     ) -> CausalContext:
-        """Mint a new trace root (one per submitted operation)."""
+        """Mint a new trace root (a submitted operation, a topology change).
+
+        ``tick=False`` stamps the root one past ``site``'s Lamport clock
+        without advancing it: a failure or repair happens *to* a site, not
+        at it, so it must not renumber the site's own events.
+        """
         trace_id = derive_trace_id(self._seed, f"trace:{name}")
-        return self._record(trace_id, kind, time, (), site, fields)
+        return self._record(trace_id, kind, time, (), site, fields, tick)
 
     def emit(
         self,
@@ -194,6 +203,7 @@ class CausalTracer:
         parents: tuple[CausalContext, ...],
         site: object,
         fields: dict[str, object],
+        tick: bool = True,
     ) -> CausalContext:
         index = self._trace_counters.get(trace_id, 0)
         self._trace_counters[trace_id] = index + 1
@@ -203,7 +213,8 @@ class CausalTracer:
             if parent.lamport > clock:
                 clock = parent.lamport
         lamport = clock + 1
-        self._site_clocks[site] = lamport
+        if tick:
+            self._site_clocks[site] = lamport
         # Build the TraceEvent in place (TraceLog.append) instead of going
         # through record(**fields): one fewer dict per event on a path that
         # runs for every send/deliver/timer of a traced run.

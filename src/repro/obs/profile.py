@@ -2,11 +2,11 @@
 
 Two complementary views of where a run spends its time:
 
-* **Sim-time spans.**  :class:`SpanProfiler` observes every
-  :class:`~repro.obs.spans.Span` close and folds the span forest into
-  per-name **inclusive** (span duration) and **exclusive** (duration minus
-  direct children) time tables, plus per-stack exclusive totals exported in
-  the collapsed-stack text format flamegraph tooling reads
+* **Sim-time spans.**  :class:`SpanProfiler` folds the spans a causal
+  trace derives (:func:`repro.obs.query.spans`) into per-name
+  **inclusive** (span duration) and **exclusive** (duration minus direct
+  children) time tables, plus per-stack exclusive totals exported in the
+  collapsed-stack text format flamegraph tooling reads
   (``parent;child value`` lines).  Sim-time durations are a deterministic
   function of the seed, so two identically-seeded runs produce
   byte-identical folded profiles -- the property the profile tests pin.
@@ -19,9 +19,9 @@ Two complementary views of where a run spends its time:
   the deterministic/wall-clock split of metric snapshots.
 
 A profiler is installed for a region with :func:`profiling`; while one is
-active every :class:`~repro.obs.spans.SpanTracker` reports closes to it
-(the hook in ``SpanTracker._on_close``) and every :func:`hotpath` timer
-records.  With no profiler installed both hooks cost one global read.
+active every :func:`hotpath` timer records into it, and ``repro trace``
+folds the spans of the run it traced into it.  With no profiler installed
+a timer costs one global read.
 
 ``repro profile simulate ...`` runs a CLI invocation under a profiler and
 prints the folded tables (docs/BENCHMARKING.md).
@@ -29,15 +29,15 @@ prints the folded tables (docs/BENCHMARKING.md).
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from ..errors import ObservabilityError
 from . import clock
 
-if TYPE_CHECKING:  # runtime import would cycle: spans hooks this module
-    from .spans import Span
+if TYPE_CHECKING:  # annotations only
+    from .query import Span
 
 __all__ = [
     "SpanProfiler",
@@ -82,7 +82,7 @@ _NULL_TIMER = _NullTimer()
 
 
 class SpanProfiler:
-    """Folds span closes into inclusive/exclusive tables and stack totals.
+    """Folds closed spans into inclusive/exclusive tables and stack totals.
 
     The folding invariants (pinned by ``tests/obs/test_profile.py``):
 
@@ -94,9 +94,9 @@ class SpanProfiler:
     * each collapsed-stack line carries the exclusive time of one stack
       path, so the lines also sum to the root total.
 
-    Spans close children-first (the tracker enforces LIFO), so a single
-    pass over the close events suffices: a child's duration is charged to
-    its parent's pending-children accumulator before the parent closes.
+    Spans are folded in the order they close, children first, so a
+    single pass suffices: a child's duration is charged to its parent's
+    pending-children accumulator before the parent is folded.
     """
 
     def __init__(self) -> None:
@@ -114,8 +114,14 @@ class SpanProfiler:
     # Sim-time span folding
     # ------------------------------------------------------------------ #
 
+    def fold(self, spans: Iterable[Span]) -> None:
+        """Fold every closed span of ``spans``, in order; skip open ones."""
+        for span in spans:
+            if span.end is not None:
+                self.record_span(span)
+
     def record_span(self, span: Span) -> None:
-        """Fold one closed span (called by ``SpanTracker._on_close``)."""
+        """Fold one closed span; its children must be folded already."""
         duration = span.duration
         if duration is None:
             raise ObservabilityError(
@@ -143,11 +149,6 @@ class SpanProfiler:
             names.append(node.name)
             node = node.parent
         return tuple(reversed(names))
-
-    @property
-    def span_count(self) -> int:
-        """Closed spans folded so far."""
-        return sum(self._counts.values())
 
     def inclusive(self) -> dict[str, float]:
         """Total duration per span name (children included), sorted by name."""
@@ -286,8 +287,8 @@ def active_profiler() -> SpanProfiler | None:
 def profiling(profiler: SpanProfiler | Mapping | None = None) -> Iterator[SpanProfiler]:
     """Install ``profiler`` (or a fresh one) for the duration of the block.
 
-    While installed, every span close on any tracker and every
-    :func:`hotpath` timer records into it.  Restores the previous
+    While installed, every :func:`hotpath` timer records into it, and
+    ``repro trace`` folds its spans into it.  Restores the previous
     profiler on exit, including on error; nesting installs work the
     obvious way (innermost wins).
     """

@@ -6,26 +6,31 @@ Everything here works purely on the JSONL export (or the in-memory
 the same queries run on stochastic netsim traces and on model-checker
 counterexample files.
 
-Three query families:
+Four query families:
 
 * **happens-before** -- :meth:`CausalDag.happens_before` is ancestor
   reachability over the parent edges; :func:`check_assertions` runs the
   happens-before catalog (commit never precedes its quorum of votes, no
-  install outside the deciding partition *P*, clock/time monotonicity,
-  acyclicity) and returns the offending edges.
+  install outside the deciding partition *P*, one run per installed
+  version, clock/time monotonicity, acyclicity) and returns the
+  offending edges.
 * **critical path** -- :meth:`CausalDag.critical_path` walks back from an
   event always taking the latest-finishing parent; consecutive path
   events bound per-phase sim-time segments that sum *exactly* to the
   end-to-end latency (the segments telescope).
-* **per-operation stats** -- :func:`operation_stats` folds each trace's
-  root and finish events into latency / outcome rows, the data behind the
-  ``op.commit.latency`` / ``op.abort.rate`` SLO metrics.
+* **per-operation stats** -- :func:`operation_stats` folds each
+  operation's submit and finish events into latency / outcome rows, the
+  data behind the ``op.commit.latency`` / ``op.abort.rate`` SLO metrics.
+* **views** -- :func:`spans` derives the sim-time spans (run, vote,
+  catch-up, in-doubt) and :func:`transcript` the flat ``repro trace``
+  records, each from the events that open and close them; netsim emits
+  nothing else.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from ..errors import ObservabilityError
@@ -40,6 +45,10 @@ __all__ = [
     "assertion_names",
     "check_assertions",
     "operation_stats",
+    "Span",
+    "TRANSCRIPT_CATEGORIES",
+    "spans",
+    "transcript",
 ]
 
 
@@ -477,9 +486,9 @@ def _check_single_root(dag: CausalDag) -> list[AssertionFailure]:
     ]
 
 
-def _participants_field(event: CausalEvent) -> tuple[str, ...]:
-    """The ``participants`` field as site names (empty when absent)."""
-    raw = event.field("participants")
+def _sites_field(event: CausalEvent, key: str) -> tuple[str, ...]:
+    """A list-of-sites field (``participants``, ``link``) as site names."""
+    raw = event.field(key)
     if isinstance(raw, (list, tuple)):
         return tuple(str(member) for member in raw)
     return ()
@@ -495,7 +504,7 @@ def _check_commit_after_votes(dag: CausalDag) -> list[AssertionFailure]:
     """
     failures = []
     for commit in dag.find("commit"):
-        participants = _participants_field(commit)
+        participants = _sites_field(commit, "participants")
         ancestors = dag.ancestors(commit.event_id)
         votes_seen = {
             str(vote.field("voter"))
@@ -527,7 +536,7 @@ def _check_install_within_participants(dag: CausalDag) -> list[AssertionFailure]
     """
     failures = []
     for install in dag.find("install"):
-        participants = set(_participants_field(install))
+        participants = set(_sites_field(install, "participants"))
         if install.site is not None and install.site not in participants:
             failures.append(
                 AssertionFailure(
@@ -541,6 +550,30 @@ def _check_install_within_participants(dag: CausalDag) -> list[AssertionFailure]
     return failures
 
 
+def _check_one_run_per_version(dag: CausalDag) -> list[AssertionFailure]:
+    """Every install of one version carries one run id.
+
+    Two runs installing the same version is a forked history: each
+    decided the version on its own quorum, as when a participant forgets
+    its in-doubt vote in a crash and joins a second quorum.
+    """
+    failures = []
+    first: dict[object, tuple[int | None, CausalEvent]] = {}
+    for install in dag.find("install"):
+        version, run_id = install.field("version"), install.run_id
+        first_run, seen = first.setdefault(version, (run_id, install))
+        if first_run != run_id:
+            failures.append(
+                AssertionFailure(
+                    "one-run-per-version",
+                    f"version {version} installed by run {first_run} at "
+                    f"{seen.site} and by run {run_id} at {install.site}",
+                    (seen.event_id, install.event_id),
+                )
+            )
+    return failures
+
+
 _ASSERTIONS = {
     "parents-resolve": _check_parents_resolve,
     "acyclic": _check_acyclic,
@@ -549,6 +582,7 @@ _ASSERTIONS = {
     "single-root": _check_single_root,
     "commit-after-votes": _check_commit_after_votes,
     "install-within-participants": _check_install_within_participants,
+    "one-run-per-version": _check_one_run_per_version,
 }
 
 
@@ -591,13 +625,17 @@ class OperationStats:
 
 
 def operation_stats(dag: CausalDag) -> tuple[OperationStats, ...]:
-    """Fold each trace's root/finish events into one summary row."""
+    """Fold each operation's submit/finish events into one summary row.
+
+    An operation is a trace whose root is a ``submit``; topology changes
+    root traces of their own and have no row.
+    """
     rows = []
     for trace_id in dag.traces():
         events = dag.trace_events(trace_id)
         root = next((e for e in events if not e.parents), None)
         finish = next((e for e in events if e.kind == "finish"), None)
-        if root is None:
+        if root is None or root.kind != "submit":
             continue
         status = finish.field("status") if finish is not None else None
         rows.append(
@@ -616,3 +654,137 @@ def operation_stats(dag: CausalDag) -> tuple[OperationStats, ...]:
             )
         )
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------- #
+# Views: the spans and the flat transcript
+# ---------------------------------------------------------------------- #
+
+
+@dataclass(slots=True, eq=False)
+class Span:
+    """A sim-time interval between two causal events; ``end`` None while open.
+
+    A ``vote`` or ``catch-up`` span's ``parent`` is its run's ``run`` span.
+    """
+
+    name: str
+    start: float
+    end: float | None = None
+    parent: "Span | None" = None
+    run_id: int | None = None
+    site: str | None = None
+
+    @property
+    def duration(self) -> float | None:
+        """end - start once closed, else None."""
+        return None if self.end is None else self.end - self.start
+
+
+#: The record categories of :func:`transcript`.
+TRANSCRIPT_CATEGORIES = ("run", "topology", "message", "span")
+#: Deliveries that end a subordinate's in-doubt window for their run.
+_DECISIONS = ("CommitMessage", "AbortMessage", "DecisionReply")
+_TOPOLOGY = ("site-failure", "site-repair", "link-failure", "link-repair")
+
+
+def _walk_spans(
+    dag: CausalDag, opened: list[Span]
+) -> Iterator[tuple[CausalEvent, list[Span]]]:
+    """Each event, in recording order, with the spans it closes.
+
+    A run's phase span closes before its ``run`` span; every span opened
+    is appended to ``opened``.
+    """
+    runs: dict[int | None, Span] = {}
+    phases: dict[int | None, Span] = {}  # the open vote or catch-up span
+    in_doubt: dict[str | None, dict[int | None, Span]] = {}  # by site, by run
+
+    def open_span(name: str, event: CausalEvent, parent: Span | None = None) -> Span:
+        span = Span(name, event.time, None, parent, event.run_id, event.site)
+        opened.append(span)
+        return span
+
+    for event in dag.events:
+        kind, run_id = event.kind, event.run_id
+        sent = event.field("message") if kind == "send" else None
+        delivered = event.field("message") if kind == "deliver" else None
+        closed: list[Span | None] = []
+        if kind == "submit":
+            runs[run_id] = open_span("run", event)
+        elif kind == "lock-granted":
+            phases[run_id] = open_span("vote", event, runs.get(run_id))
+        elif sent == "CatchUpRequest":
+            phases[run_id] = open_span("catch-up", event, runs.get(run_id))
+        elif kind == "vote-lock-granted":
+            in_doubt.setdefault(event.site, {})[run_id] = open_span("in-doubt", event)
+        elif delivered in _DECISIONS:
+            closed.append(in_doubt.get(event.site, {}).pop(run_id, None))
+        elif kind == "site-failure":
+            closed.extend(in_doubt.pop(event.site, {}).values())
+        if kind in ("votes-closed", "finish") or delivered == "CatchUpReply":
+            closed.append(phases.pop(run_id, None))
+        if kind == "finish":
+            closed.append(runs.pop(run_id, None))
+        ended = [span for span in closed if span is not None]
+        for span in ended:
+            if event.time < span.start:
+                raise ObservabilityError(
+                    f"{span.name} span of run {span.run_id} closes at "
+                    f"{event.time} before it opened at {span.start}"
+                )
+            span.end = event.time
+        yield event, ended
+
+
+def spans(dag: CausalDag) -> tuple[Span, ...]:
+    """Every span of the trace: the closed ones, then the open ones.
+
+    Each span runs from the event that opens it to the first that closes
+    it (docs/OBSERVABILITY.md, "Span taxonomy"): ``run`` from ``submit``
+    to ``finish``; ``vote`` from ``lock-granted`` to ``votes-closed``, and
+    ``catch-up`` from the ``send`` of CatchUpRequest to the ``deliver`` of
+    CatchUpReply, each or to ``finish`` if the run ends first; ``in-doubt``
+    from ``vote-lock-granted`` to the site's ``deliver`` of the run's
+    decision or to its ``site-failure``.  Closed spans come in close
+    order, children first, so folding them in order is exact.
+    """
+    opened: list[Span] = []
+    closed = [span for _, ended in _walk_spans(dag, opened) for span in ended]
+    return (*closed, *(span for span in opened if span.end is None))
+
+
+def transcript(dag: CausalDag) -> tuple[TraceEvent, ...]:
+    """The flat ``repro trace`` records, derived from the causal events.
+
+    ``run`` records come from ``submit`` and ``finish``, ``message``
+    records from ``deliver`` and ``lose``, ``topology`` records from the
+    topology roots, and each ``span`` record follows the event that
+    closes its span.
+    """
+    records: list[TraceEvent] = []
+    ops: dict[int | None, object] = {}
+    for event, closed in _walk_spans(dag, []):
+        kind, run_id, site, time = event.kind, event.run_id, event.site, event.time
+        if kind == "submit":
+            ops[run_id] = event.field("op")
+            line = f"run {run_id} [{ops[run_id]}] submitted at {site}"
+            records.append(TraceEvent(time, "run", line))
+        elif kind in ("deliver", "lose"):
+            line = f"{event.field('source')} -> {site} {event.field('message')}"
+            lost = f" LOST ({event.field('reason')})" if kind == "lose" else ""
+            records.append(TraceEvent(time, "message", f"{line}(run {run_id}){lost}"))
+        elif kind in _TOPOLOGY:
+            noun, _, change = kind.partition("-")
+            where = site if noun == "site" else "-".join(_sites_field(event, "link"))
+            verb = "failed" if change == "failure" else "repaired"
+            records.append(TraceEvent(time, "topology", f"{noun} {where} {verb}"))
+        for span in closed:
+            line = f"{span.name} took {span.duration:.4f}"
+            records.append(TraceEvent(time, "span", line))
+        if kind == "finish":
+            reason = event.field("reason")
+            line = f"run {run_id} [{ops.get(run_id, '?')}] at {site}: "
+            line += str(event.field("status")) + (f" ({reason})" if reason else "")
+            records.append(TraceEvent(time, "run", line))
+    return tuple(records)

@@ -3,23 +3,21 @@
 A :class:`TraceEvent` is one timestamped record with a category, a
 human-readable description, and *typed fields* -- machine-readable
 key/value pairs that survive :meth:`~TraceEvent.to_dict` and the JSONL
-export, so tools no longer have to parse the rendered strings.  The
-rendering contract of the original netsim trace is kept: ``render()``
-still produces the ``t=0.0300 [message] A -> B VoteReply`` transcript
-lines tests and examples read.
+export, so tools no longer have to parse the rendered strings.
+``render()`` produces the ``t=0.0300 [message] A -> B VoteReply``
+transcript lines tests and examples read.
 
 :class:`TraceLog` is the bounded, append-only collector.  Past capacity it
 *counts* what it drops -- in total and per category -- and ``render()``
 reports the truncation instead of silently hiding it.
 
-This module is the single home of the trace machinery for every substrate
-(the former ``repro.netsim.trace`` pass-through shim is gone): a netsim
-:class:`~repro.netsim.cluster.ReplicaCluster` collects run lifecycle
-transitions, topology changes, message deliveries and losses, span
-closures, and -- with causal tracing on -- the ``causal`` DAG events of
-:mod:`repro.obs.causal`.  Tracing is opt-in
-(``ReplicaCluster(..., trace=True)``); when disabled the hot paths skip
-the recording entirely.
+A traced netsim :class:`~repro.netsim.cluster.ReplicaCluster` collects
+only the ``causal`` DAG events of :mod:`repro.obs.causal`; its flat
+run/topology/message/span transcript is derived from them
+(:func:`repro.obs.query.transcript`).  A model-checker
+counterexample adds ``check`` records for its schedule.  Tracing is
+opt-in (``ReplicaCluster(..., trace=True)``); when disabled the hot paths
+skip the recording entirely.
 """
 
 from __future__ import annotations
@@ -79,12 +77,6 @@ class TraceEvent:
 
 class TraceLog:
     """An append-only event log with filtering, rendering, and JSONL export."""
-
-    #: Categories produced by the cluster (plus "check" for model-checker
-    #: schedule replays and "causal" for the causally-parented DAG events,
-    #: which share this log so counterexample traces and stochastic-run
-    #: traces have one schema).
-    CATEGORIES = ("run", "topology", "message", "lock", "span", "check", "causal")
 
     def __init__(self, capacity: int = 100_000) -> None:
         self._events: list[TraceEvent] = []
@@ -160,12 +152,16 @@ class TraceLog:
             lines = lines[:limit]
             lines.append(f"... ({omitted} more)")
         if self._dropped > 0:
-            split = ", ".join(
-                f"{category}: {count}"
-                for category, count in sorted(self._dropped_by_category.items())
-            )
-            lines.append(f"... ({self._dropped} dropped at capacity; {split})")
+            lines.append(self.drop_notice())
         return "\n".join(lines)
+
+    def drop_notice(self) -> str:
+        """The line reporting the drops, with the per-category split."""
+        split = ", ".join(
+            f"{category}: {count}"
+            for category, count in sorted(self._dropped_by_category.items())
+        )
+        return f"... ({self._dropped} dropped at capacity; {split})"
 
     def iter_jsonl(
         self, categories: Iterable[str] | None = None

@@ -64,6 +64,11 @@ class TestTruncation:
         assert not result.ok
         assert result.states <= 51
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_max_states_below_one_is_rejected(self, budget):
+        with pytest.raises(CheckError, match="max-states must be positive"):
+            Explorer(config=CheckConfig(), depth=8, max_states=budget)
+
     def test_faulty_configs_still_terminate(self):
         result = explore(crashes=1, depth=6)
         assert result.violation is None

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.core.hybrid import HybridProtocol
 from repro.netsim.cluster import ReplicaCluster
-from repro.obs import NULL_REGISTRY, NULL_TRACKER, MetricsRegistry
+from repro.obs import NULL_REGISTRY, CausalDag, MetricsRegistry, spans
 from repro.types import site_names
 
 
@@ -18,7 +18,7 @@ class TestDisabledByDefault:
     def test_cluster_without_metrics_uses_the_null_registry(self):
         cluster = build_cluster()
         assert cluster.metrics is NULL_REGISTRY
-        assert cluster.spans is NULL_TRACKER
+        assert cluster.trace_log is None
         cluster.submit_update("A", "v1")
         cluster.settle()
         assert cluster.metrics.names() == ()
@@ -75,11 +75,28 @@ class TestRunAndTopologyCounters:
         assert registry.counter("netsim.topology.site-failures").value == 1
         assert registry.counter("netsim.topology.site-repairs").value == 1
 
+    def test_coordinator_failure_counts_a_failed_update(self):
+        registry = MetricsRegistry()
+        cluster = build_cluster(metrics=registry, latency=0.01, vote_window=10.0)
+        cluster.submit_update("A", "v1")
+        cluster.run_for(0.015)  # vote round in flight
+        cluster.fail_site("A")
+        snapshot = registry.snapshot()
+        assert snapshot["netsim.run.failed"]["value"] == 1
+        assert snapshot["op.aborted"]["value"] == 1
+        assert snapshot["op.abort.rate"]["value"] == 1.0
+        assert snapshot["netsim.run.latency"]["count"] == 1
+
+
+def traced_spans(cluster: ReplicaCluster) -> tuple:
+    """The spans of a traced cluster's run so far, closed ones first."""
+    assert cluster.trace_log is not None
+    return spans(CausalDag.from_events(cluster.trace_log.events))
+
 
 class TestSpans:
     def test_phase_spans_recorded_and_all_closed(self):
-        registry = MetricsRegistry()
-        cluster = build_cluster(metrics=registry)
+        cluster = build_cluster(trace=True)
         cluster.submit_update("A", "v1")
         cluster.settle()
         cluster.fail_site("C")
@@ -87,27 +104,28 @@ class TestSpans:
         cluster.settle()
         cluster.repair_site("C")  # triggers make-current with catch-up
         cluster.settle()
-        snapshot = registry.snapshot()
-        assert snapshot["span.run"]["count"] >= 2
-        assert snapshot["span.vote"]["count"] >= 2
-        assert snapshot["span.catch-up"]["count"] >= 1
-        assert snapshot["span.in-doubt"]["count"] >= 2
-        assert cluster.spans.open_count == 0
+        derived = traced_spans(cluster)
+        counts = {
+            name: sum(span.name == name for span in derived)
+            for name in ("run", "vote", "catch-up", "in-doubt")
+        }
+        assert counts == {"run": 3, "vote": 3, "catch-up": 1, "in-doubt": 5}
+        assert all(span.end is not None for span in derived)
 
     def test_vote_span_nests_inside_the_run_span(self):
-        registry = MetricsRegistry()
-        cluster = build_cluster(metrics=registry)
+        cluster = build_cluster(trace=True)
         cluster.submit_update("A", "v1")
         cluster.settle()
-        snapshot = registry.snapshot()
-        vote = snapshot["span.vote"]
-        run = snapshot["span.run"]
-        assert vote["max"] <= run["max"] + 1e-12
+        derived = traced_spans(cluster)
+        (vote,) = [span for span in derived if span.name == "vote"]
+        assert vote.parent is not None and vote.parent.name == "run"
+        assert vote.parent.start <= vote.start
+        assert vote.end <= vote.parent.end
 
     def test_coordinator_failure_closes_its_spans_blocks_subordinates(self):
         registry = MetricsRegistry()
         cluster = build_cluster(
-            metrics=registry, latency=0.01, vote_window=10.0
+            metrics=registry, trace=True, latency=0.01, vote_window=10.0
         )
         cluster.submit_update("A", "v1")
         cluster.run_for(0.015)  # vote round in flight
@@ -115,11 +133,15 @@ class TestSpans:
         cluster.settle()
         # The coordinator's run/vote spans closed with the failure; the
         # subordinates' in-doubt spans stay open -- honest 2PC blocking.
-        assert registry.snapshot()["span.run"]["count"] == 1
-        assert cluster.spans.open_count == 2
+        derived = traced_spans(cluster)
+        assert [span.name for span in derived if span.end is not None] == [
+            "vote",
+            "run",
+        ]
+        assert sum(span.end is None for span in derived) == 2
         cluster.repair_site("A")
         cluster.settle()  # presumed abort settles the blocked subordinates
-        assert cluster.spans.open_count == 0
+        assert all(span.end is not None for span in traced_spans(cluster))
         assert registry.counter("netsim.termination.probes").value >= 2
 
 

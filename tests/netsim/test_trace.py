@@ -1,7 +1,8 @@
-"""Tests for the netsim trace log."""
+"""Tests for the netsim trace log and the transcript derived from it."""
 
 from repro.core import HybridProtocol
 from repro.netsim import ReplicaCluster, TraceLog
+from repro.obs import CausalDag, transcript
 from repro.types import site_names
 
 
@@ -9,6 +10,14 @@ def traced_cluster():
     return ReplicaCluster(
         HybridProtocol(site_names(3)), initial_value="v0", trace=True
     )
+
+
+def records(cluster: ReplicaCluster) -> TraceLog:
+    """The transcript of a traced cluster, as a log of its records."""
+    log = TraceLog()
+    for record in transcript(CausalDag.from_events(cluster.trace_log.events)):
+        log.append(record)
+    return log
 
 
 class TestTraceLog:
@@ -52,7 +61,7 @@ class TestClusterTracing:
         cluster = traced_cluster()
         run = cluster.submit_update("A", "v1")
         cluster.settle()
-        log = cluster.trace_log
+        log = records(cluster)
         assert log.matching(f"run {run.run_id} [update] submitted")
         assert log.matching(f"run {run.run_id} [update] at A: committed")
 
@@ -60,7 +69,7 @@ class TestClusterTracing:
         cluster = traced_cluster()
         cluster.submit_update("A", "v1")
         cluster.settle()
-        deliveries = cluster.trace_log.category("message")
+        deliveries = records(cluster).category("message")
         kinds = {d.description.split()[3].split("(")[0] for d in deliveries}
         assert "VoteRequest" in kinds
         assert "VoteReply" in kinds
@@ -72,7 +81,7 @@ class TestClusterTracing:
         cluster.run_for(cluster.vote_window / 8)  # requests in flight
         cluster.fail_site("B")
         cluster.settle()
-        lost = cluster.trace_log.matching("LOST")
+        lost = records(cluster).matching("LOST")
         assert lost
         assert any("endpoint down" in e.description for e in lost)
 
@@ -81,7 +90,7 @@ class TestClusterTracing:
         cluster.fail_link("A", "B")
         cluster.fail_site("C")
         cluster.repair_site("C", run_restart=False)
-        log = cluster.trace_log
+        log = records(cluster)
         assert log.matching("link A-B failed")
         assert log.matching("site C failed")
         assert log.matching("site C repaired")
@@ -90,5 +99,29 @@ class TestClusterTracing:
         cluster = traced_cluster()
         cluster.submit_update("A", "v1")
         cluster.settle()
-        times = [e.time for e in cluster.trace_log.events]
-        assert times == sorted(times)
+        for log in (cluster.trace_log, records(cluster)):
+            times = [e.time for e in log.events]
+            assert times == sorted(times)
+
+    def test_the_log_holds_only_causal_events(self):
+        # One emission: everything else is derived from these events.
+        cluster = traced_cluster()
+        cluster.fail_link("A", "B")
+        cluster.submit_update("A", "v1")
+        cluster.settle()
+        assert {e.category for e in cluster.trace_log.events} == {"causal"}
+
+    def test_trace_and_causal_are_one_switch(self):
+        def export(**switch) -> str:
+            from repro.netsim import reset_run_ids
+
+            reset_run_ids()
+            cluster = ReplicaCluster(
+                HybridProtocol(site_names(3)), initial_value="v0", **switch
+            )
+            cluster.submit_update("A", "v1")
+            cluster.settle()
+            return cluster.trace_log.to_jsonl()
+
+        assert export(trace=True) == export(causal=True)
+        assert export(trace=True) == export(trace=True, causal=True)

@@ -64,7 +64,7 @@ def operation_stats(dag: CausalDag) -> tuple[OperationStats, ...]:
         events = trace_events(dag, trace_id)
         root = next((e for e in events if not e.parents), None)
         finish = next((e for e in events if e.kind == "finish"), None)
-        if root is None:
+        if root is None or root.kind != "submit":
             continue
         status = finish.field("status") if finish is not None else None
         rows.append(
@@ -234,6 +234,24 @@ def _install_within_participants(dag: CausalDag) -> list[AssertionFailure]:
     return failures
 
 
+def _one_run_per_version(dag: CausalDag) -> list[AssertionFailure]:
+    failures = []
+    installs = find(dag, "install")
+    for index, install in enumerate(installs):
+        version = install.field("version")
+        first = next(e for e in installs[: index + 1] if e.field("version") == version)
+        if first.run_id != install.run_id:
+            failures.append(
+                AssertionFailure(
+                    "one-run-per-version",
+                    f"version {version} installed by run {first.run_id} at "
+                    f"{first.site} and by run {install.run_id} at {install.site}",
+                    (first.event_id, install.event_id),
+                )
+            )
+    return failures
+
+
 _CATALOG = {
     "parents-resolve": _parents_resolve,
     "acyclic": _acyclic,
@@ -242,6 +260,7 @@ _CATALOG = {
     "single-root": _single_root,
     "commit-after-votes": _commit_after_votes,
     "install-within-participants": _install_within_participants,
+    "one-run-per-version": _one_run_per_version,
 }
 assert tuple(_CATALOG) == assertion_names()
 

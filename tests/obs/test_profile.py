@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ObservabilityError
 from repro.obs import (
+    Span,
     SpanProfiler,
-    SpanTracker,
     active_profiler,
     hotpath,
     parse_collapsed,
@@ -17,22 +18,17 @@ from repro.obs.profile import _NULL_TIMER
 
 
 def _folded_forest() -> SpanProfiler:
-    """A two-root forest with nesting, closed under a fresh profiler.
+    """A two-root forest with nesting, folded in close order.
 
     run(0..10) > vote(1..7) > lock(2..3); commit(10..14) is a second
     root.  Durations: run 10 (excl 4), vote 6 (excl 5), lock 1,
     commit 4 -- total root time 14.
     """
+    run = Span("run", 0.0, 10.0)
+    vote = Span("vote", 1.0, 7.0, parent=run)
+    lock = Span("lock", 2.0, 3.0, parent=vote)
     profiler = SpanProfiler()
-    with profiling(profiler):
-        tracker = SpanTracker()
-        run = tracker.open("run", 0.0)
-        vote = tracker.open("vote", 1.0, parent=run)
-        lock = tracker.open("lock", 2.0, parent=vote)
-        lock.close(3.0)
-        vote.close(7.0)
-        run.close(10.0)
-        tracker.open("commit", 10.0).close(14.0)
+    profiler.fold([lock, vote, run, Span("commit", 10.0, 14.0)])
     return profiler
 
 
@@ -59,12 +55,9 @@ class TestSpanFolding:
 
     def test_repeated_names_accumulate(self):
         profiler = SpanProfiler()
-        with profiling(profiler):
-            tracker = SpanTracker()
-            for start in (0.0, 5.0):
-                run = tracker.open("run", start)
-                tracker.open("vote", start + 1.0, parent=run).close(start + 2.0)
-                run.close(start + 3.0)
+        for start in (0.0, 5.0):
+            run = Span("run", start, start + 3.0)
+            profiler.fold([Span("vote", start + 1.0, start + 2.0, parent=run), run])
         assert profiler.counts() == {"run": 2, "vote": 2}
         assert profiler.inclusive() == pytest.approx({"run": 6.0, "vote": 2.0})
         assert profiler.exclusive() == pytest.approx({"run": 4.0, "vote": 2.0})
@@ -82,9 +75,11 @@ class TestSpanFolding:
 
     def test_open_span_cannot_be_folded(self):
         profiler = SpanProfiler()
-        span = SpanTracker().open("run", 0.0)
+        span = Span("run", 0.0)
         with pytest.raises(ObservabilityError, match="open span"):
             profiler.record_span(span)
+        profiler.fold([span])  # folding a trace skips its open spans
+        assert profiler.counts() == {}
 
 
 class TestCollapsedStack:
@@ -123,13 +118,15 @@ class TestProfilingContext:
             with profiling(object()):  # type: ignore[arg-type]
                 pass
 
-    def test_spans_outside_profiling_are_not_folded(self):
-        tracker = SpanTracker()
-        tracker.open("before", 0.0).close(1.0)
+    def test_spans_outside_profiling_are_not_folded(self, capsys):
+        # `repro trace` folds the spans of its run into the installed
+        # profiler only.
+        assert main(["trace", "-n", "3"]) == 0
         with profiling() as profiler:
-            tracker.open("inside", 1.0).close(2.0)
-        tracker.open("after", 2.0).close(3.0)
-        assert profiler.counts() == {"inside": 1}
+            assert main(["trace", "-n", "3"]) == 0
+        assert main(["trace", "-n", "3"]) == 0
+        capsys.readouterr()
+        assert profiler.counts() == {"catch-up": 1, "in-doubt": 7, "run": 4, "vote": 4}
 
 
 class TestHotpath:

@@ -75,6 +75,17 @@ def _install_outside_participants() -> str:
     return log.to_jsonl()
 
 
+def _version_installed_by_two_runs() -> str:
+    # Two runs each decide version 2 on a quorum of their own: a fork.
+    log = sample_log()
+    tracer = CausalTracer(log, seed=2)
+    for run_id, site in ((7, "A"), (8, "B")):
+        root = tracer.begin(f"op:{run_id}", "submit", 0.1, site=site, run_id=run_id)
+        tracer.emit("install", 0.2, parents=(root,), site=site, run_id=run_id,
+                    version=2, participants=[site], phase="decision")
+    return log.to_jsonl()
+
+
 def _cycle() -> str:
     # The root now parents on its own descendant, the commit.
     records = [json.loads(line) for line in sample_log().to_jsonl().splitlines()]
@@ -100,6 +111,7 @@ MUTATED_TRACES: dict[str, Callable[[], str]] = {
     ),
     "commit-without-vote": on_kind("votes-closed", _cut_vote_edge),
     "install-outside-participants": _install_outside_participants,
+    "version-installed-by-two-runs": _version_installed_by_two_runs,
     "cycle": _cycle,
 }
 
@@ -185,7 +197,13 @@ class TestQueries:
         ]
 
     def test_operation_stats_fold_root_and_finish(self):
-        dag = CausalDag.from_jsonl(sample_log().to_jsonl())
+        log = sample_log()
+        # A topology change roots a trace of its own; it is no operation.
+        CausalTracer(log, seed=1).begin(
+            "topology:1", "site-failure", 0.5, site="B", tick=False
+        )
+        dag = CausalDag.from_jsonl(log.to_jsonl())
+        assert len(dag.roots()) == 2
         (row,) = operation_stats(dag)
         assert row.run_id == 1
         assert row.kind == "update"
@@ -212,6 +230,7 @@ class TestAssertionCatalog:
             "single-root",
             "commit-after-votes",
             "install-within-participants",
+            "one-run-per-version",
         )
 
     def _failures(self, defect: str) -> list:
@@ -245,6 +264,15 @@ class TestAssertionCatalog:
         assert len(offending) == 1
         assert "site C" in offending[0].detail
         assert offending[0].events  # the offending edge is named
+
+    def test_version_installed_by_two_runs_fails(self):
+        failures = self._failures("version-installed-by-two-runs")
+        (offending,) = failures
+        assert offending.assertion == "one-run-per-version"
+        assert offending.detail == (
+            "version 2 installed by run 7 at A and by run 8 at B"
+        )
+        assert len(offending.events) == 2
 
     def test_cycle_is_detected(self):
         failures = self._failures("cycle")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -132,20 +133,49 @@ class TestCommands:
         assert len(lines) > 10
         events = [json.loads(line) for line in lines]
         assert {"time", "category", "description", "fields"} <= set(events[0])
-        assert any(e["category"] == "span" for e in events)
+        # The causal events are the one export format.
+        assert all(e["category"] == "causal" for e in events)
+        kinds = {e["fields"]["event"] for e in events}
+        assert {"submit", "site-failure", "site-repair", "finish"} <= kinds
 
     def test_trace_category_filter(self, capsys):
-        assert main(["trace", "-n", "3", "--jsonl", "--categories", "run"]) == 0
-        events = [
-            json.loads(line)
-            for line in capsys.readouterr().out.strip().splitlines()
-        ]
-        assert events and all(e["category"] == "run" for e in events)
+        assert main(["trace", "-n", "3", "--categories", "run", "topology"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 10  # four runs submitted and finished, one fail/repair
+        assert all("[run]" in line or "[topology]" in line for line in lines)
+
+    def test_trace_renders_the_transcript_of_an_export(self, tmp_path, capsys):
+        assert main(["trace", "-n", "3"]) == 0
+        live = capsys.readouterr().out
+        assert main(["trace", "-n", "3", "--jsonl"]) == 0
+        export = tmp_path / "trace.jsonl"
+        export.write_text(capsys.readouterr().out)
+        assert main(["trace", "--input", str(export)]) == 0
+        assert capsys.readouterr().out == live
+
+    def test_trace_categories_filter_only_the_transcript(self, capsys):
+        assert main(["trace", "-n", "3", "--jsonl", "--categories", "run"]) == 2
+        assert "cannot be combined with --jsonl" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "-n", "3", "--categories", "lock"])
+        assert excinfo.value.code == 2
+
+    def test_trace_ends_with_the_drop_line_of_a_full_log(self, capsys, monkeypatch):
+        import functools
+
+        from repro.netsim import cluster
+
+        monkeypatch.setattr(
+            cluster, "TraceLog", functools.partial(cluster.TraceLog, capacity=40)
+        )
+        assert main(["trace", "-n", "3"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert re.fullmatch(r"\.\.\. \((\d+) dropped at capacity; causal: \1\)", last)
 
     def test_trace_is_deterministic_modulo_run_ids(self, capsys):
-        # Run identifiers are process-unique (a fresh CLI process always
-        # starts at 1), so two in-process invocations are compared after
-        # renumbering them by order of first appearance.
+        # Run identifiers are process-unique; `repro trace` rewinds the
+        # counter, and the comparison renumbers them by order of first
+        # appearance so it holds whether or not the rewind happens.
         def normalized():
             main(["trace", "-n", "3", "--jsonl"])
             events = [
@@ -371,6 +401,17 @@ class TestCheckCommand:
         assert "depth must be nonnegative" in captured.err
         assert "no invariant violations" not in captured.out
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_max_states_below_one_is_a_usage_error(self, capsys, budget):
+        code = main(
+            ["check", "--protocol", "dynamic", "--updates", "1", "--depth", "8",
+             "--max-states", budget]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"max-states must be positive, got {budget}" in captured.err
+        assert "TRUNCATED" not in captured.out
+
     @pytest.mark.parametrize("as_json", [False, True])
     def test_unwritable_counterexample_is_a_usage_error(
         self, tmp_path, capsys, as_json
@@ -479,13 +520,43 @@ class TestTraceCausalModes:
         assert "violated" in captured.err
 
     def test_legacy_trace_has_no_causal_lines(self, capsys):
-        # Plain `repro trace` predates causal mode and must stay unchanged.
-        assert main(["trace", "-n", "3", "--jsonl"]) == 0
-        events = [
-            json.loads(line)
-            for line in capsys.readouterr().out.strip().splitlines()
-        ]
-        assert all(e["category"] != "causal" for e in events)
+        # Plain `repro trace` predates causal mode; its transcript keeps
+        # its four record categories.
+        assert main(["trace", "-n", "3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        categories = {line.split("[")[1].split("]")[0] for line in lines}
+        assert categories == {"run", "topology", "message", "span"}
+
+    def test_assert_flags_the_in_doubt_fork_counterexample(self, tmp_path, capsys):
+        # A participant that forgets its in-doubt vote in a crash joins a
+        # second quorum for version 1 (docs/CHECKING.md); the catalog's
+        # one-run-per-version rule sees the fork in the causal trace.
+        artifact = tmp_path / "in-doubt.jsonl"
+        assert main(
+            ["check", "--protocol", "dynamic", "-n", "3", "--updates", "1",
+             "--crashes", "1", "--recoveries", "1", "--depth", "9",
+             "--counterexample", str(artifact)]
+        ) == 1
+        assert "VIOLATION after 9 steps -- no-fork" in capsys.readouterr().out
+        assert main(["trace", "assert", "--input", str(artifact)]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith(
+            "FAIL one-run-per-version: version 1 installed by run 1 at A and "
+            "by run 1000 at B ["
+        )
+
+    @pytest.mark.parametrize("mode", ["causal", "critical-path", "assert"])
+    def test_input_without_causal_events_is_a_usage_error(
+        self, tmp_path, capsys, mode
+    ):
+        export = tmp_path / "flat.jsonl"
+        log = TraceLog()
+        log.record(0.0, "run", "run 1 [update] submitted at A", run_id=1)
+        export.write_text(log.to_jsonl() + "\n")
+        assert main(["trace", mode, "--input", str(export)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {export} holds no causal event\n"
 
 
 
