@@ -3,27 +3,33 @@
 The scalar :class:`~repro.sim.model.StochasticReplicaSystem` processes one
 event at a time through Python objects; it is the *reference oracle*, but
 its per-event cost caps ``mc.events``/sec.  Under the Section VI-B
-assumptions (independent exponential failure/repair clocks, an update after
-every event) an entire batch of replicates can instead be advanced with a
-handful of numpy operations per event step:
+assumptions (independent exponential failure/repair clocks, infallible
+links, an update after every event) an entire batch of replicates can
+instead be advanced with a handful of numpy operations per event step:
 
-* **State** is a structure of arrays over a batch of R replicates and n
-  sites: ``up`` (R, n) bool, per-site ``vn``/``sc`` (R, n) ints and a
-  ``ds`` (R, n) uint64 *bitmask* of the distinguished-sites entry (bit i =
-  site i in canonical order).  Theorem 1 guarantees all copies at the same
-  version share SC/DS, so per-site storage reproduces the scalar metadata
-  exactly.
+* **State** is the lumped state of each replicate, one value per
+  replicate: the up set and the current set (the up set of the last
+  accepted update) as uint64 site bitmasks (bit i = site i in canonical
+  order, so ``n <= 63``), and the SC/DS entry the current copies share,
+  DS as a bitmask too.  An ``(R, n)`` boolean up array mirrors the up
+  mask for event sampling only.
+* **Exactness** rests on two facts.  With infallible links the partition
+  is the up set, and every accepted update installs at all of it, so the
+  current copies are exactly the last accepted update's up set and all
+  share its SC/DS.  Theorem 1 adds that a partition holding no current
+  copy is never distinguished, so the stale copies' metadata is never
+  read: stale-only partitions are denied whatever the kernel returns,
+  and every other decision reads the current copies' SC/DS.
 * **Events** are sampled by competing exponentials, vectorized: the next
   event in replicate r arrives after ``Exp(sum of per-site rates)`` and
   strikes a site chosen proportionally to its rate -- a row-wise cumulative
   sum against one uniform draw, exactly the race
   :class:`~repro.sim.failures.FailureRepairSampler` runs per replicate.
-* **Decisions** (``Is_Distinguished``) reduce to integer comparisons on
-  row summaries -- ``M`` (masked version max), ``|I|`` (current-copy
-  count), ``SC``/``DS`` read at the argmax site -- and ``Do_Update``
-  installs the new metadata at all up sites with masked writes.  One
-  :class:`_Kernel` per registered protocol encodes the paper's predicates
-  as boolean array expressions.
+* **Decisions** (``Is_Distinguished``) are integer comparisons on
+  popcounts and ANDs of the masks -- ``k = |up|``, ``|I| = |up & current|``
+  -- and SC/DS, one :class:`_Kernel` per registered protocol; an accepted
+  ``Do_Update`` installs the new current set, SC and DS with three
+  ``np.where`` calls.
 * **Availability** accumulates time-weighted ``(k/n) * 1[distinguished]``
   with batched multiply-adds, mirroring
   :class:`~repro.sim.model.AvailabilityAccumulator`.
@@ -38,10 +44,12 @@ alongside ``sim/rng.py``, the only sanctioned RNG construction site
 (replint REP001/REP002, docs/LINTING.md).
 
 The backend is *statistically* -- not bitwise -- equivalent to the scalar
-oracle (different generators, same law); ``tests/sim/test_vectorized.py``
+oracle (different generators, same law).  ``tests/sim/test_vectorized.py``
 holds a stronger per-event parity contract through
 :meth:`VectorizedReplicaBatch.force_events`, which replays identical event
-sequences through both implementations and compares full metadata state.
+sequences through both implementations, and
+``tests/sim/persite_reference.py`` keeps the per-site metadata layout as
+the oracle for the lumped state.
 """
 
 from __future__ import annotations
@@ -77,7 +85,7 @@ __all__ = [
     "supported_protocols",
 ]
 
-#: The distinguished-sites entry is a uint64 bitmask, so one bit per site.
+#: Site sets are uint64 bitmasks, so one bit per site.
 MAX_SITES = 63
 
 #: Pre-drawn uniforms per chunk are capped at this many floats per batch,
@@ -86,223 +94,151 @@ MAX_SITES = 63
 #: sequentially, so splitting draws differently yields the same stream.
 _CHUNK_BUDGET = 1 << 20
 
-
-if hasattr(np, "bitwise_count"):  # numpy >= 2.0
-
-    def _popcount(masks: np.ndarray) -> np.ndarray:
-        """Per-element population count of a uint64 array."""
-        return np.bitwise_count(masks)
-
-else:  # pragma: no cover - exercised only on numpy < 2.0
-
-    def _popcount(masks: np.ndarray) -> np.ndarray:
-        """Per-element population count of a uint64 array."""
-        counts = np.zeros(masks.shape, dtype=np.int64)
-        work = masks.copy()
-        while work.any():
-            counts += (work & np.uint64(1)).astype(np.int64)
-            work >>= np.uint64(1)
-        return counts
-
-
-class _StepView:
-    """Row summaries of one batched event step, shared by the kernels.
-
-    The always-needed quantities (``k``, the masked version max ``M``, the
-    current set ``I`` and the metadata ``card``/``dsm`` read at the argmax
-    site) are computed eagerly; bit-level derivatives are memoised lazily
-    because only some kernels consult them.
-    """
-
-    __slots__ = (
-        "up", "k", "M", "i_mask", "i_count", "card", "dsm", "bitvals",
-        "n", "event_site", "event_was_failure",
-        "_p_bits", "_i_bits", "_greatest_up_bit", "_greatest_down_bit",
-    )
-
-    def __init__(
-        self,
-        up: np.ndarray,
-        vn: np.ndarray,
-        sc: np.ndarray,
-        ds: np.ndarray,
-        bitvals: np.ndarray,
-        event_site: np.ndarray,
-        event_was_failure: np.ndarray,
-    ) -> None:
-        rows = np.arange(up.shape[0])
-        self.up = up
-        self.n = up.shape[1]
-        self.k = up.sum(axis=1)
-        masked = np.where(up, vn, -1)
-        idx = masked.argmax(axis=1)
-        self.M = masked[rows, idx]
-        self.i_mask = up & (vn == self.M[:, None])
-        self.i_count = self.i_mask.sum(axis=1)
-        self.card = sc[rows, idx]
-        self.dsm = ds[rows, idx]
-        self.bitvals = bitvals
-        self.event_site = event_site
-        self.event_was_failure = event_was_failure
-        self._p_bits = None
-        self._i_bits = None
-        self._greatest_up_bit = None
-        self._greatest_down_bit = None
-
-    @property
-    def p_bits(self) -> np.ndarray:
-        """Bitmask of the partition (the up sites) per replicate."""
-        if self._p_bits is None:
-            self._p_bits = np.where(self.up, self.bitvals, 0).sum(axis=1)
-        return self._p_bits
-
-    @property
-    def i_bits(self) -> np.ndarray:
-        """Bitmask of the current copies *I* per replicate."""
-        if self._i_bits is None:
-            self._i_bits = np.where(self.i_mask, self.bitvals, 0).sum(axis=1)
-        return self._i_bits
-
-    @property
-    def greatest_up_bit(self) -> np.ndarray:
-        """Bit of the greatest up site (canonical order; junk when k=0)."""
-        if self._greatest_up_bit is None:
-            idx = self.n - 1 - np.argmax(self.up[:, ::-1], axis=1)
-            self._greatest_up_bit = self.bitvals[idx]
-        return self._greatest_up_bit
-
-    @property
-    def greatest_down_bit(self) -> np.ndarray:
-        """Bit of the greatest down site (junk when all sites are up)."""
-        if self._greatest_down_bit is None:
-            idx = self.n - 1 - np.argmax(~self.up[:, ::-1], axis=1)
-            self._greatest_down_bit = self.bitvals[idx]
-        return self._greatest_down_bit
+#: ``_TOP_BIT[e]`` is ``2**(e - 1)``, the highest bit of a mask whose
+#: float64 value ``np.frexp`` gives exponent ``e``; ``_TOP_BIT[0] = 0``.
+_TOP_BIT = np.concatenate(
+    ([np.uint64(0)], np.uint64(1) << np.arange(64, dtype=np.uint64))
+)
 
 
 class _Kernel:
     """Vectorized ``Is_Distinguished`` / ``Do_Update`` of one protocol.
 
-    ``decide`` returns the per-replicate accept vector; ``commit`` returns
-    the ``(new_sc, new_ds)`` arrays an accepted update installs (values in
-    non-accepted rows are unused).  Kernels are pure functions of the step
-    view, mirroring the purity of the scalar decision procedures.
+    Kernels read (R,) arrays: ``up``, the partition's site mask; ``live``,
+    the current copies inside it (*I*); ``k``, the popcount of ``up``;
+    ``sc``/``ds``, the SC and DS entry of the copies ``live`` names; and
+    ``struck``, the bit of the site the event toggled.  ``decide``
+    returns the per-replicate accept vector; ``commit`` returns the
+    ``(new_sc, new_ds)`` an accepted update installs, each an (R,) array
+    or a scalar (values in non-accepted rows are unused).  Kernels are
+    pure functions of their arguments, mirroring the purity of the scalar
+    decision procedures.
     """
 
     def __init__(self, protocol: ReplicaControlProtocol) -> None:
         self.n = protocol.n_sites
 
-    def decide(self, v: _StepView) -> np.ndarray:
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
         raise NotImplementedError
 
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
+    def commit(self, up, k, sc, ds, struck) -> tuple:
         raise NotImplementedError
 
     # Shared rule fragments (the vectorized _dynamic_majority and the
     # dynamic-linear tie-break, reused across the dynamic family).
 
-    @staticmethod
-    def _majority(v: _StepView) -> np.ndarray:
-        """card(I) > N/2 -- step 3 of ``Is_Distinguished``."""
-        return 2 * v.i_count > v.card
+    def _top_bit(self, masks: np.ndarray) -> np.ndarray:
+        """Bit of the greatest site in each mask (0 for an empty mask)."""
+        top = _TOP_BIT[np.frexp(masks.astype(np.float64))[1]]
+        if self.n > 53:
+            # float64 keeps 53 bits, so a wider mask can round up to the
+            # next power of two.
+            top >>= top > masks
+        return top
 
     @staticmethod
-    def _linear_tie(v: _StepView) -> np.ndarray:
+    def _majority(count: np.ndarray, sc: np.ndarray) -> np.ndarray:
+        """card(I) > N/2 -- step 3 of ``Is_Distinguished``."""
+        return 2 * count > sc
+
+    @staticmethod
+    def _linear_tie(count, live, sc, ds) -> np.ndarray:
         """card(I) = N/2 with the single distinguished site inside *I*."""
         return (
-            (2 * v.i_count == v.card)
-            & (_popcount(v.dsm) == 1)
-            & ((v.dsm & v.i_bits) != 0)
+            (2 * count == sc)
+            & (np.bitwise_count(ds) == 1)
+            & ((ds & live) != 0)
         )
 
-    @staticmethod
-    def _linear_ds(v: _StepView) -> np.ndarray:
+    def _linear_ds(self, up: np.ndarray, k: np.ndarray) -> np.ndarray:
         """DS after a dynamic-linear style commit: greatest site iff even."""
-        return np.where(v.k % 2 == 0, v.greatest_up_bit, np.uint64(0))
+        return np.where(k % 2 == 0, self._top_bit(up), np.uint64(0))
 
 
-class _MajorityKernel(_Kernel):
+class _StaticKernel(_Kernel):
+    """Static voting rules: SC stays n and DS empty at every commit."""
+
+    def commit(self, up, k, sc, ds, struck) -> tuple:
+        return self.n, np.uint64(0)
+
+
+class _MajorityKernel(_StaticKernel):
     """Static voting: one vote per site, strict majority to commit."""
 
     def __init__(self, protocol: MajorityVotingProtocol) -> None:
         super().__init__(protocol)
         self._threshold = protocol.write_threshold
 
-    def decide(self, v: _StepView) -> np.ndarray:
-        return v.k >= self._threshold
-
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
-        return np.full_like(v.k, self.n), np.zeros(len(v.k), dtype=np.uint64)
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
+        return k >= self._threshold
 
 
-class _PrimarySiteKernel(_Kernel):
+class _PrimarySiteKernel(_StaticKernel):
     """Majority voting with a primary site breaking exact ties."""
 
     def __init__(self, protocol: PrimarySiteVotingProtocol) -> None:
         super().__init__(protocol)
-        self._primary = sorted(protocol.sites).index(protocol.primary)
+        self._primary = np.uint64(1 << sorted(protocol.sites).index(protocol.primary))
 
-    def decide(self, v: _StepView) -> np.ndarray:
-        held = 2 * v.k
-        return (held > self.n) | ((held == self.n) & v.up[:, self._primary])
-
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
-        return np.full_like(v.k, self.n), np.zeros(len(v.k), dtype=np.uint64)
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
+        held = 2 * k
+        return (held > self.n) | ((held == self.n) & ((up & self._primary) != 0))
 
 
-class _PrimaryCopyKernel(_Kernel):
+class _PrimaryCopyKernel(_StaticKernel):
     """Primary-copy: the primary's partition is distinguished."""
 
     def __init__(self, protocol: PrimaryCopyProtocol) -> None:
         super().__init__(protocol)
-        self._primary = sorted(protocol.sites).index(protocol.primary)
+        self._primary = np.uint64(1 << sorted(protocol.sites).index(protocol.primary))
 
-    def decide(self, v: _StepView) -> np.ndarray:
-        return v.up[:, self._primary].copy()
-
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
-        return np.full_like(v.k, self.n), np.zeros(len(v.k), dtype=np.uint64)
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
+        return (up & self._primary) != 0
 
 
 class _DynamicKernel(_Kernel):
     """The SIGMOD'87 dynamic voting rule: card(I) > N/2."""
 
-    def decide(self, v: _StepView) -> np.ndarray:
-        return self._majority(v)
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
+        return self._majority(np.bitwise_count(live), sc)
 
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
-        return v.k.astype(np.int64), np.zeros(len(v.k), dtype=np.uint64)
+    def commit(self, up, k, sc, ds, struck) -> tuple:
+        return k, np.uint64(0)
 
 
 class _DynamicLinearKernel(_Kernel):
     """Dynamic voting with linearly ordered copies."""
 
-    def decide(self, v: _StepView) -> np.ndarray:
-        return self._majority(v) | self._linear_tie(v)
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
+        count = np.bitwise_count(live)
+        return self._majority(count, sc) | self._linear_tie(count, live, sc, ds)
 
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
-        return v.k.astype(np.int64), self._linear_ds(v)
+    def commit(self, up, k, sc, ds, struck) -> tuple:
+        return k, self._linear_ds(up, k)
 
 
 class _HybridKernel(_Kernel):
     """The hybrid algorithm: dynamic-linear plus the three-site static phase."""
 
-    def decide(self, v: _StepView) -> np.ndarray:
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
+        count = np.bitwise_count(live)
         static = (
-            (v.card == 3)
-            & (_popcount(v.dsm) == 3)
-            & (_popcount(v.dsm & v.p_bits) >= 2)
+            (sc == 3)
+            & (np.bitwise_count(ds) == 3)
+            & (np.bitwise_count(ds & up) >= 2)
         )
-        return self._majority(v) | self._linear_tie(v) | static
+        return (
+            self._majority(count, sc)
+            | self._linear_tie(count, live, sc, ds)
+            | static
+        )
 
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
+    def commit(self, up, k, sc, ds, struck) -> tuple:
         # Do_Update's exception: a two-site update at cardinality 3 bumps
         # only the version number (SC and the trio survive).
-        bump = (v.card == 3) & (v.k == 2)
-        base_ds = np.where(v.k == 3, v.p_bits, self._linear_ds(v))
-        new_sc = np.where(bump, v.card, v.k)
-        new_ds = np.where(bump, v.dsm, base_ds)
-        return new_sc, new_ds
+        bump = (sc == 3) & (k == 2)
+        base_ds = np.where(k == 3, up, self._linear_ds(up, k))
+        return np.where(bump, sc, k), np.where(bump, ds, base_ds)
 
 
 class _GeneralizedHybridKernel(_Kernel):
@@ -313,21 +249,24 @@ class _GeneralizedHybridKernel(_Kernel):
         self._t = protocol.threshold
         self._m = protocol.static_majority
 
-    def _static_phase(self, v: _StepView) -> np.ndarray:
-        return (v.card == self._t) & (_popcount(v.dsm) == self._t)
+    def _static_phase(self, sc, ds) -> np.ndarray:
+        return (sc == self._t) & (np.bitwise_count(ds) == self._t)
 
-    def decide(self, v: _StepView) -> np.ndarray:
-        static = self._static_phase(v) & (
-            _popcount(v.dsm & v.p_bits) >= self._m
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
+        count = np.bitwise_count(live)
+        static = self._static_phase(sc, ds) & (
+            np.bitwise_count(ds & up) >= self._m
         )
-        return self._majority(v) | self._linear_tie(v) | static
+        return (
+            self._majority(count, sc)
+            | self._linear_tie(count, live, sc, ds)
+            | static
+        )
 
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
-        bump = self._static_phase(v) & (v.k == self._m)
-        base_ds = np.where(v.k == self._t, v.p_bits, self._linear_ds(v))
-        new_sc = np.where(bump, v.card, v.k)
-        new_ds = np.where(bump, v.dsm, base_ds)
-        return new_sc, new_ds
+    def commit(self, up, k, sc, ds, struck) -> tuple:
+        bump = self._static_phase(sc, ds) & (k == self._m)
+        base_ds = np.where(k == self._t, up, self._linear_ds(up, k))
+        return np.where(bump, sc, k), np.where(bump, ds, base_ds)
 
 
 class _ModifiedHybridKernel(_Kernel):
@@ -340,48 +279,48 @@ class _ModifiedHybridKernel(_Kernel):
                 "the vectorized modified-hybrid kernel needs n >= 3 (a "
                 "two-site update must have a down site to name)"
             )
+        self._sites = np.uint64((1 << self.n) - 1)
 
-    def decide(self, v: _StepView) -> np.ndarray:
-        big = self._majority(v) | self._linear_tie(v)
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
+        count = np.bitwise_count(live)
+        big = self._majority(count, sc) | self._linear_tie(count, live, sc, ds)
         pair_tie = (
-            (2 * v.i_count == v.card)
-            & (_popcount(v.dsm) == 1)
-            & ((v.dsm & v.p_bits) != 0)
+            (2 * count == sc)
+            & (np.bitwise_count(ds) == 1)
+            & ((ds & up) != 0)
         )
-        small = (v.i_count == v.card) | pair_tie
-        return np.where(v.card >= 3, big, small)
+        small = (count == sc) | pair_tie
+        return np.where(sc >= 3, big, small)
 
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
-        # A two-site commit names a down site: the site that most recently
-        # failed when the triggering event was a failure (it is down and
-        # outside the partition by construction), else the greatest site
-        # outside the partition -- exactly _choose_down_site.
-        pair = v.k == 2
-        named = np.where(
-            v.event_was_failure,
-            v.bitvals[v.event_site],
-            v.greatest_down_bit,
+    def commit(self, up, k, sc, ds, struck) -> tuple:
+        # A two-site commit names a down site: the site that just failed
+        # when the event was a failure (it is down and outside the
+        # partition by construction), else the greatest site outside the
+        # partition -- exactly _choose_down_site.  The complement of the
+        # up mask is cut to the n site bits.
+        failed = struck & ~up
+        named = np.where(failed != 0, failed, self._top_bit(~up & self._sites))
+        pair = k == 2
+        return (
+            np.where(pair, 2, k),
+            np.where(pair, named, self._linear_ds(up, k)),
         )
-        new_sc = np.where(pair, 2, v.k)
-        new_ds = np.where(pair, named, self._linear_ds(v))
-        return new_sc, new_ds
 
 
 class _OptimalCandidateKernel(_Kernel):
     """Footnote 6's optimal candidate: global majority breaks pair ties."""
 
-    def decide(self, v: _StepView) -> np.ndarray:
-        big = self._majority(v) | self._linear_tie(v)
-        pair_tie = (2 * v.i_count == v.card) & (2 * v.k > self.n)
-        small = (v.i_count == v.card) | pair_tie
-        return np.where(v.card >= 3, big, small)
+    def decide(self, up, live, k, sc, ds) -> np.ndarray:
+        count = np.bitwise_count(live)
+        big = self._majority(count, sc) | self._linear_tie(count, live, sc, ds)
+        pair_tie = (2 * count == sc) & (2 * k > self.n)
+        small = (count == sc) | pair_tie
+        return np.where(sc >= 3, big, small)
 
-    def commit(self, v: _StepView) -> tuple[np.ndarray, np.ndarray]:
+    def commit(self, up, k, sc, ds, struck) -> tuple:
         # A two-site commit conceptually names all other sites; the decision
         # rule never reads the entry, so DS stays empty (as in the scalar).
-        pair = v.k == 2
-        new_ds = np.where(pair, np.uint64(0), self._linear_ds(v))
-        return v.k.astype(np.int64), new_ds
+        return k, np.where(k == 2, np.uint64(0), self._linear_ds(up, k))
 
 
 #: Exact-type dispatch: subclasses with different rules (primary-site
@@ -425,9 +364,8 @@ def ensure_supported(protocol: str, n_sites: int) -> None:
     """
     if n_sites > MAX_SITES:
         raise SimulationError(
-            f"the vectorized backend packs distinguished sites into a "
-            f"64-bit mask and supports at most {MAX_SITES} sites, got "
-            f"{n_sites}"
+            f"the vectorized backend packs site sets into a 64-bit mask and "
+            f"supports at most {MAX_SITES} sites, got {n_sites}"
         )
     _kernel_for(make_protocol(protocol, site_names(n_sites)))
 
@@ -507,15 +445,17 @@ class VectorizedReplicaBatch:
         initial_ds = np.uint64(
             sum(1 << index[site] for site in meta.distinguished)
         )
+        all_sites = np.uint64((1 << n_sites) - 1)
         self._up = np.ones((replicates, n_sites), dtype=bool)
-        self._vn = np.zeros((replicates, n_sites), dtype=np.int64)
-        self._sc = np.full((replicates, n_sites), meta.cardinality, dtype=np.int64)
-        self._ds = np.full((replicates, n_sites), initial_ds, dtype=np.uint64)
+        self._up_mask = np.full(replicates, all_sites)
+        self._k = np.bitwise_count(self._up_mask)
+        self._current = np.full(replicates, all_sites)
+        self._sc = np.full(replicates, meta.cardinality, dtype=np.int64)
+        self._ds = np.full(replicates, initial_ds)
         self._available = np.ones(replicates, dtype=bool)
         self._weighted = np.zeros(replicates)
         self._observed = np.zeros(replicates)
         self._failures = np.zeros(replicates, dtype=np.int64)
-        self._repairs = np.zeros(replicates, dtype=np.int64)
         self._accepted = np.zeros(replicates, dtype=np.int64)
         self._denied = np.zeros(replicates, dtype=np.int64)
         self._bitvals = np.uint64(1) << np.arange(n_sites, dtype=np.uint64)
@@ -542,18 +482,18 @@ class VectorizedReplicaBatch:
         return self._up.copy()
 
     @property
-    def vn(self) -> np.ndarray:
-        """(R, n) per-site version numbers (copy)."""
-        return self._vn.copy()
+    def current(self) -> np.ndarray:
+        """(R, n) whether each site holds a current copy (fresh array)."""
+        return (self._current[:, None] & self._bitvals) != 0
 
     @property
     def sc(self) -> np.ndarray:
-        """(R, n) per-site update-sites cardinalities (copy)."""
+        """(R,) update-sites cardinality of the current copies (copy)."""
         return self._sc.copy()
 
     @property
     def ds(self) -> np.ndarray:
-        """(R, n) per-site distinguished-sites bitmasks (copy)."""
+        """(R,) distinguished-sites bitmask of the current copies (copy)."""
         return self._ds.copy()
 
     @property
@@ -603,7 +543,7 @@ class VectorizedReplicaBatch:
         elapsed = -np.log1p(-u_wait) / total
         if accumulate:
             # The pre-event state has been in force for `elapsed`.
-            gain = np.where(self._available, up.sum(axis=1) / self._n, 0.0)
+            gain = np.where(self._available, self._k / self._n, 0.0)
             self._weighted += gain * elapsed
             self._observed += elapsed
         # Competing exponentials: strike site i with probability
@@ -613,45 +553,76 @@ class VectorizedReplicaBatch:
         site = np.minimum(
             (cumulative <= pick[:, None]).sum(axis=1), self._n - 1
         )
-        self.force_events(site)
+        self._apply(site)
 
     def force_events(self, site: np.ndarray) -> None:
-        """Toggle ``site[r]`` in each replicate and apply the update.
+        """Toggle ``site[r]`` in each replicate r and apply the update.
 
         The deterministic half of :meth:`_step`, exposed so tests can
         replay *scripted* event sequences through the kernels and compare
-        every metadata array against the scalar oracle.
+        the state against the scalar oracle.  ``site`` holds one site
+        index in ``[0, n)`` per replicate; anything else raises
+        :class:`SimulationError`.
         """
+        site = np.asarray(site)
+        if site.shape != (self.replicates,) or not np.issubdtype(
+            site.dtype, np.integer
+        ):
+            raise SimulationError(
+                f"force_events needs one integer site index per replicate, "
+                f"shape ({self.replicates},); got {site.dtype} of shape "
+                f"{site.shape}"
+            )
+        bad = (site < 0) | (site >= self._n)
+        if bad.any():
+            raise SimulationError(
+                f"site indices must lie in [0, {self._n}); got "
+                f"{sorted({int(x) for x in site[bad]})}"
+            )
+        self._apply(site)
+
+    def _apply(self, site: np.ndarray) -> None:
+        """Toggle ``site[r]`` in every replicate r, then run the update."""
         rows = self._rows
         was_up = self._up[rows, site]
-        self._failures += was_up
-        self._repairs += ~was_up
         self._up[rows, site] = ~was_up
-
-        view = _StepView(
-            self._up, self._vn, self._sc, self._ds, self._bitvals,
-            event_site=site, event_was_failure=was_up,
-        )
-        alive = view.k > 0
-        accept = self._kernel.decide(view) & alive
-        new_sc, new_ds = self._kernel.commit(view)
-        install = accept[:, None] & self._up
-        self._vn = np.where(install, (view.M + 1)[:, None], self._vn)
-        self._sc = np.where(install, new_sc[:, None], self._sc)
-        self._ds = np.where(install, new_ds.astype(np.uint64)[:, None], self._ds)
+        self._failures += was_up
+        accept = self._update(self._bitvals[site])
         self._available = accept
         self._accepted += accept
-        self._denied += alive & ~accept
+        self._denied += (self._k != 0) & ~accept
         self._steps += 1
+
+    def _update(self, struck: np.ndarray) -> np.ndarray:
+        """Flip ``struck`` in the up mask and attempt the frequent update.
+
+        Returns the accept vector.  A partition without a current copy is
+        denied whatever the kernel returns (Theorem 1); an accepted update
+        makes the partition the current set and installs its SC/DS.
+        """
+        up = self._up_mask ^ struck
+        k = np.bitwise_count(up)
+        live = up & self._current
+        kernel = self._kernel
+        accept = kernel.decide(up, live, k, self._sc, self._ds) & (live != 0)
+        new_sc, new_ds = kernel.commit(up, k, self._sc, self._ds, struck)
+        self._current = np.where(accept, up, self._current)
+        self._sc = np.where(accept, new_sc, self._sc)
+        self._ds = np.where(accept, new_ds, self._ds)
+        self._up_mask = up
+        self._k = k
+        return accept
 
     def outcome(self) -> BatchOutcome:
         """Freeze the per-replicate results into a picklable outcome."""
         safe = np.where(self._observed > 0, self._observed, 1.0)
         estimates = np.where(self._observed > 0, self._weighted / safe, 0.0)
+        # Every step toggles one site per replicate: a failure or a repair.
+        repairs = self._steps - self._failures
         return BatchOutcome(
             estimates=tuple(float(x) for x in estimates),
             failures=tuple(int(x) for x in self._failures),
-            repairs=tuple(int(x) for x in self._repairs),
+            repairs=tuple(int(x) for x in repairs),
             accepted=tuple(int(x) for x in self._accepted),
             denied=tuple(int(x) for x in self._denied),
             steps=self._steps,

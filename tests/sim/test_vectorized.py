@@ -4,7 +4,9 @@ Three layers of evidence that the numpy kernels implement the same
 protocols as the scalar oracle:
 
 * **exact parity** -- scripted event sequences replayed through both
-  implementations must produce identical metadata at every step;
+  implementations must produce identical state at every step: the
+  lumped state of the production batch, every copy's metadata in the
+  per-site reference batch (``persite_reference.py``);
 * **statistical agreement** -- free-running estimates from the two
   backends (and the analytic Markov values) must coincide up to
   Monte-Carlo noise, for every registered protocol;
@@ -24,8 +26,15 @@ from repro.errors import SimulationError
 from repro.markov import availability
 from repro.obs.metrics import MetricsRegistry
 from repro.sim import VectorizedReplicaBatch, estimate_availability, simulate_batch
-from repro.sim.vectorized import MAX_SITES, ensure_supported, supported_protocols
+from repro.sim.vectorized import (
+    MAX_SITES,
+    _kernel_for,
+    ensure_supported,
+    supported_protocols,
+)
 from repro.types import site_names
+
+from .persite_reference import PerSiteReplicaBatch
 
 
 def _scalar_trajectory(protocol_name, n, site_sequence):
@@ -62,8 +71,18 @@ def _scalar_trajectory(protocol_name, n, site_sequence):
     return sites, states
 
 
+def _mask(meta, index):
+    """The distinguished-sites entry of ``meta`` as a site bitmask."""
+    return sum(1 << index[d] for d in meta.distinguished)
+
+
 class TestExactParity:
-    """Scripted replay: kernels match the scalar protocols event by event."""
+    """Scripted replay: kernels match the scalar protocols event by event.
+
+    The per-site reference batch is held to every copy's version, SC and
+    DS; the production batch, which keeps the lumped state, to the up
+    set, the current set and the SC/DS of a current copy.
+    """
 
     @pytest.mark.parametrize("protocol", supported_protocols())
     @pytest.mark.parametrize("n", [3, 5, 7])
@@ -75,23 +94,48 @@ class TestExactParity:
         batch = VectorizedReplicaBatch(
             protocol, n, 1.0, seed=1, stream_names=["parity"]
         )
+        reference = PerSiteReplicaBatch(
+            protocol, n, 1.0, seed=1, stream_names=["parity"]
+        )
         for step, site_index in enumerate(sequence):
             batch.force_events(np.array([site_index]))
+            reference.force_events(np.array([site_index]))
             up_set, copies, available = states[step]
-            assert bool(batch.available[0]) == available, (protocol, n, step)
             expected_up = np.array([site in up_set for site in sites])
-            assert (batch.up[0] == expected_up).all(), (protocol, n, step)
-            vn, sc, ds = batch.vn[0], batch.sc[0], batch.ds[0]
+            newest = max(meta.version for meta in copies.values())
+            current = [site for site in sites if copies[site].version == newest]
+            meta = copies[current[0]]
+            for b in (batch, reference):
+                assert bool(b.available[0]) == available, (protocol, n, step)
+                assert (b.up[0] == expected_up).all(), (protocol, n, step)
+            expected_current = np.array([site in current for site in sites])
+            assert (batch.current[0] == expected_current).all(), (protocol, n, step)
+            assert batch.sc[0] == meta.cardinality, (protocol, n, step)
+            assert int(batch.ds[0]) == _mask(meta, index), (protocol, n, step)
+            vn = reference.site_vn[0]
+            sc = reference.site_sc[0]
+            ds = reference.site_ds[0]
             for site in sites:
                 meta = copies[site]
-                mask = sum(1 << index[d] for d in meta.distinguished)
                 i = index[site]
                 assert vn[i] == meta.version, (protocol, n, step, site)
                 assert sc[i] == meta.cardinality, (protocol, n, step, site)
-                assert int(ds[i]) == mask, (protocol, n, step, site)
+                assert int(ds[i]) == _mask(meta, index), (protocol, n, step, site)
 
     def test_all_registered_protocols_have_kernels(self):
         assert set(supported_protocols()) == set(protocol_names())
+
+    @pytest.mark.parametrize("n", [5, 53, 54, 63])
+    def test_greatest_site_bit_is_exact_at_every_width(self, n):
+        # float64 holds 53 bits, so masks past that can round up a bit.
+        rng = random.Random(n)
+        masks = [0, 1, (1 << n) - 1, 1 << (n - 1), (1 << n) - 2]
+        masks += [rng.getrandbits(rng.randint(1, n)) for _ in range(500)]
+        kernel = _kernel_for(make_protocol("hybrid", site_names(n)))
+        top = kernel._top_bit(np.array(masks, dtype=np.uint64))
+        assert [int(x) for x in top] == [
+            1 << (m.bit_length() - 1) if m else 0 for m in masks
+        ]
 
 
 class TestStatisticalAgreement:
@@ -269,6 +313,25 @@ class TestErrors:
     def test_empty_batch_rejected(self):
         with pytest.raises(SimulationError, match="at least one"):
             VectorizedReplicaBatch("voting", 3, 1.0, seed=1, stream_names=[])
+
+    @pytest.mark.parametrize(
+        "site,match",
+        [
+            ([0], "one integer site index per replicate"),
+            ([0, 1, 2, -1], r"\[0, 3\); got \[-1\]"),
+            ([0, 3, 1, 2], r"\[0, 3\); got \[3\]"),
+            ([0.0, 1.0, 2.0, 0.0], "one integer site index per replicate"),
+        ],
+        ids=["one-site-for-four-replicates", "negative", "n", "float"],
+    )
+    def test_force_events_rejects_bad_sites(self, site, match):
+        batch = VectorizedReplicaBatch(
+            "hybrid", 3, 1.0, seed=1, stream_names=["a", "b", "c", "d"]
+        )
+        with pytest.raises(SimulationError, match=match):
+            batch.force_events(np.array(site))
+        assert batch.steps == 0
+        assert batch.up.all()
 
     def test_negative_events_rejected(self):
         batch = VectorizedReplicaBatch(
