@@ -13,12 +13,6 @@ backend's throughput *is* asserted (>= 10x events/sec over scalar at
 n = 5): its win is per-core numpy batching, not parallelism, so it does
 not depend on the machine's core count.
 
-Every run also appends lightweight :class:`repro.bench.BenchRecord`
-entries (scenario ids shared with ``repro bench run --suite perf``) to
-the JSONL history under ``benchmarks/manifests/`` -- the time axis the
-``repro bench compare`` regression gate and the committed
-``BENCH_perf.json`` trajectory are built from (docs/BENCHMARKING.md).
-
 Unlike the figure benchmarks this module does not use the
 pytest-benchmark fixture, so the telemetry-smoke CI job can run it with
 plain pytest.
@@ -133,23 +127,6 @@ def test_perf_scaling_smoke(bench_manifest):
     )
     scalar_eps = scalar_events / serial_s
     vector_eps = vector_events / vectorized_s
-    bench_manifest.record(
-        "mc.scalar.hybrid.n5",
-        seed=MC_KWARGS["seed"],
-        params={"protocol": "hybrid", "n_sites": 5, "ratio": 1.0,
-                "backend": "scalar", "workers": 1,
-                "burn_in_events": MC_BURN_IN, **MC_KWARGS},
-        timings={"wall_s": serial_s, "events_per_sec": scalar_eps,
-                 "workers2_wall_s": parallel_s},
-    )
-    bench_manifest.record(
-        "mc.vectorized.hybrid.n5",
-        seed=VECTOR_KWARGS["seed"],
-        params={"protocol": "hybrid", "n_sites": 5, "ratio": 1.0,
-                "backend": "vectorized", "workers": 1,
-                "burn_in_events": MC_BURN_IN, **VECTOR_KWARGS},
-        timings={"wall_s": vectorized_s, "events_per_sec": vector_eps},
-    )
     throughput = vector_eps / scalar_eps
     analytic = availability("hybrid", 5, 1.0)
     assert vectorized.agrees_with(analytic), "vectorized drifted from analytic"
@@ -173,7 +150,6 @@ def test_perf_scaling_smoke(bench_manifest):
 
     # -- Grid solves: per-point vs one stacked solve vs Horner sweep.
     clear_symbolic_cache()
-    batched_total_s = 0.0
     for protocol in CHAIN_PROTOCOLS:
         chain = chain_for(protocol, 5)
         per_point, per_point_s = _timed(
@@ -186,7 +162,6 @@ def test_perf_scaling_smoke(bench_manifest):
         assert max(
             abs(a - b) for a, b in zip(per_point, batched)
         ) <= 1e-12, f"batched grid drifted from per-point for {protocol}"
-        batched_total_s += batched_s
         rows.append(
             [f"{protocol} grid ({len(GRID)} pts)", per_point_s, batched_s,
              per_point_s / batched_s]
@@ -206,23 +181,6 @@ def test_perf_scaling_smoke(bench_manifest):
          per_point_s / horner_s]
     )
     clear_symbolic_cache()
-    bench_manifest.record(
-        "markov.grid.batched.n5",
-        params={"protocols": list(CHAIN_PROTOCOLS), "n_sites": 5,
-                "grid_points": len(GRID)},
-        timings={
-            "solve_batch_s": batched_total_s,
-            "points_per_sec": len(CHAIN_PROTOCOLS) * len(GRID) / batched_total_s,
-        },
-    )
-    bench_manifest.record(
-        "markov.grid.horner.n5",
-        params={"protocol": "hybrid", "n_sites": 5, "grid_points": len(GRID)},
-        timings={
-            "horner_sweep_s": horner_s,
-            "points_per_sec": len(GRID) / horner_s,
-        },
-    )
 
     # -- Lump-then-solve vs the dense site-labelled pipeline, raced at
     #    the largest n where dense is still tractable.  Both sides pay
@@ -261,8 +219,8 @@ def test_perf_scaling_smoke(bench_manifest):
     gauges = bench_manifest.registry.scope("bench.perf.lumped")
     gauges.gauge("pipeline_speedup", wall_clock=True).set(lump_speedup)
 
-    # -- The n=25 scenarios of `repro bench run --suite perf`: a cold
-    #    lumped build+solve sweep, then a warm sparse-forced sweep.
+    # -- n=25: a cold lumped build+solve sweep, then a warm sparse-forced
+    #    sweep.
     _chain.cache_clear()
     with use(bench_manifest.registry):
         _, lumped25_s = _timed(
@@ -283,25 +241,6 @@ def test_perf_scaling_smoke(bench_manifest):
                 for name in LARGE_PROTOCOLS
             ]
         )
-    large_points = len(LARGE_PROTOCOLS) * len(LARGE_GRID)
-    bench_manifest.record(
-        "markov.lumped.n25",
-        params={"protocols": list(LARGE_PROTOCOLS), "n_sites": LARGE_N,
-                "grid_points": len(LARGE_GRID)},
-        timings={
-            "lumped_wall_s": lumped25_s,
-            "points_per_sec": large_points / lumped25_s,
-        },
-    )
-    bench_manifest.record(
-        "markov.sparse.n25",
-        params={"protocols": list(LARGE_PROTOCOLS), "n_sites": LARGE_N,
-                "grid_points": len(LARGE_GRID), "solver": "sparse"},
-        timings={
-            "sparse_wall_s": sparse25_s,
-            "points_per_sec": large_points / sparse25_s,
-        },
-    )
     rows.append(
         [f"n={LARGE_N} grid cold/warm ({len(LARGE_GRID)} pts)",
          lumped25_s, sparse25_s, lumped25_s / sparse25_s]
@@ -353,16 +292,6 @@ def test_perf_scaling_smoke(bench_manifest):
     rows.append(
         [f"netsim causal trace ({CAUSAL_ROUNDS} rounds)", off_s, traced_s,
          off_s / traced_s]
-    )
-    bench_manifest.record(
-        "netsim.causal.overhead.n5",
-        params={"protocol": "hybrid", "n_sites": 5, "rounds": CAUSAL_ROUNDS,
-                "batches": TRACE_BATCHES},
-        timings={
-            "netsim_off_s": off_s,
-            "netsim_traced_s": traced_s,
-            "traced_overhead_ratio": traced_ratio,
-        },
     )
     gauges = bench_manifest.registry.scope("bench.perf.causal")
     gauges.gauge("overhead_ratio", wall_clock=True).set(traced_ratio)

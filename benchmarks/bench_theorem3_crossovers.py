@@ -18,7 +18,6 @@ from repro.analysis import (
     theorem3_table,
 )
 from repro.markov import availability, availability_grid, chain_for
-from repro.obs import Stopwatch, use
 from repro.sim import estimate_availability
 
 
@@ -47,7 +46,7 @@ def test_single_certified_crossover(benchmark):
     assert abs(result.value - PAPER_CROSSOVERS[5]) <= 0.011
 
 
-def test_dynamic_dominates_static_at_large_n(benchmark, bench_manifest):
+def test_dynamic_dominates_static_at_large_n(benchmark):
     """Dynamic vs static voting at n=25, full paper grid, lumped-sparse.
 
     The paper's central claim carried past its own n<=20 table: through
@@ -58,24 +57,16 @@ def test_dynamic_dominates_static_at_large_n(benchmark, bench_manifest):
     resolution only near 20).  An exact Fraction comparison of the
     lumped chains then pins the ordering at n=50 where floats cannot --
     the paper's rational-arithmetic discipline at twice the table's
-    largest n.  The sweep lands in the bench history, so the
-    dynamic-vs-static gap at n=25 is tracked by the same
-    ``repro bench compare`` machinery as the perf scenarios.
+    largest n.
     """
     ratios = [float(ratio) for ratio in paper_grid()]
 
     def sweep():
-        stopwatch = Stopwatch()
-        with use(bench_manifest.registry):
-            dynamic = availability_grid(
-                "dynamic", 25, ratios, prefer_symbolic=False
-            )
-            static = availability_grid(
-                "voting", 25, ratios, prefer_symbolic=False
-            )
-        return dynamic, static, stopwatch.seconds
+        dynamic = availability_grid("dynamic", 25, ratios, prefer_symbolic=False)
+        static = availability_grid("voting", 25, ratios, prefer_symbolic=False)
+        return dynamic, static
 
-    dynamic, static, sweep_s = benchmark.pedantic(
+    dynamic, static = benchmark.pedantic(
         sweep, rounds=1, iterations=1
     )
     gaps = [d - s for d, s in zip(dynamic, static)]
@@ -89,13 +80,6 @@ def test_dynamic_dominates_static_at_large_n(benchmark, bench_manifest):
     print(
         f"  n=25: dynamic - voting > 0 at all {len(ratios)} grid points "
         f"(peak gap {peak[0]:.4f} at mu/lambda={peak[1]:.1f})"
-    )
-    bench_manifest.record(
-        "markov.crossover.dynamic_vs_static.n25",
-        suite="analysis",
-        params={"protocols": ["dynamic", "voting"], "n_sites": 25,
-                "grid_points": len(ratios)},
-        timings={"grid_sweep_s": sweep_s, "peak_gap": peak[0]},
     )
 
     # Exact spot check at n=50: Fraction elimination of the lumped

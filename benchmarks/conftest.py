@@ -14,69 +14,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import BenchRecord, append_records
 from repro.obs import MetricsRegistry, RunManifest, Stopwatch
-
-#: Default JSONL history the lightweight record mode appends to, relative
-#: to the repo root (= this file's parent's parent).
-_DEFAULT_HISTORY = Path(__file__).resolve().parent / "manifests" / "bench_history.jsonl"
 
 
 class BenchManifest:
-    """Telemetry capture for one benchmark: metrics, manifest, record.
+    """Telemetry capture for one benchmark: a live registry and a manifest.
 
-    Capture is **default-on**: every benchmark gets a live
-    :attr:`registry`, and :meth:`record` appends a lightweight
-    :class:`~repro.bench.BenchRecord` -- revision (``git describe``),
-    workload params including backend/workers, metric snapshot, timings
-    -- to the append-only JSONL history (``REPRO_BENCH_HISTORY``
-    overrides the path; set it to ``-`` to disable appending).
-
-    Full run-manifest files remain opted into with
-    ``REPRO_BENCH_MANIFEST_DIR=/some/dir``: :meth:`write` persists a
-    manifest there so performance trajectories can be scraped from
-    manifests instead of parsing pytest output (docs/OBSERVABILITY.md,
-    docs/BENCHMARKING.md).  With the variable unset :meth:`write`
-    no-ops, but :attr:`registry` stays live either way.
+    Every benchmark gets a live :attr:`registry`.  Run-manifest files are
+    opted into with ``REPRO_BENCH_MANIFEST_DIR=/some/dir``: :meth:`write`
+    persists a manifest there (docs/OBSERVABILITY.md).  With the variable
+    unset :meth:`write` no-ops and a run writes no file.
     """
 
-    def __init__(self, directory: str | None, history: str | None = None) -> None:
+    def __init__(self, directory: str | None) -> None:
         self._directory = directory
-        if history is None:
-            history = os.environ.get("REPRO_BENCH_HISTORY", str(_DEFAULT_HISTORY))
-        self._history = None if history in ("-", "") else Path(history)
         self.registry = MetricsRegistry()
         self.stopwatch = Stopwatch()
-
-    def record(
-        self,
-        scenario: str,
-        *,
-        params: dict,
-        timings: dict,
-        suite: str = "perf",
-        seed: int | None = None,
-    ) -> BenchRecord:
-        """Append one scenario's bench record to the JSONL history.
-
-        Every record carries ``git describe`` and its ``created_at``
-        stamp via :meth:`BenchRecord.collect`; callers put the backend /
-        workers configuration in ``params`` so records stay comparable
-        across machine shapes.  Returns the record either way; appending
-        is skipped when the history is disabled.
-        """
-        record = BenchRecord.collect(
-            suite,
-            scenario,
-            seed=seed,
-            params=params,
-            registry=self.registry,
-            timings=timings,
-            manifest=f"bench:{scenario}",
-        )
-        if self._history is not None:
-            append_records(self._history, [record])
-        return record
 
     def write(
         self,

@@ -32,21 +32,20 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
+from contextlib import contextmanager
 from importlib.metadata import PackageNotFoundError
 from importlib.metadata import version as _pkg_version
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .check import runner as check_runner
-from .errors import BenchError, ObservabilityError, ReproError
+from .errors import ObservabilityError, ReproError
 from .lint import runner as lint_runner
 from .obs.query import TRANSCRIPT_CATEGORIES
 
 if TYPE_CHECKING:
-    from .bench import BenchRecord
     from .netsim import ReplicaCluster
-    from .obs import MetricsRegistry
 
 __all__ = ["main", "build_parser"]
 
@@ -246,14 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "profile",
-        help="run a simulate/compare/trace invocation under the profiler",
+        help="run a trace invocation under the profiler",
         description=(
-            "Re-enters the CLI with the given invocation while a "
-            "SpanProfiler is installed: sim-time spans fold into "
-            "deterministic inclusive/exclusive tables and a collapsed-"
-            "stack export (flamegraph-ready), and the wall-clock hot "
-            "paths (batched solves, Horner sweeps, vectorized batches, "
-            "pool fan-out) are attributed separately.  See "
+            "Re-enters the CLI with the given `repro trace` invocation "
+            "while a SpanProfiler is installed: the sim-time spans of the "
+            "traced run fold into deterministic inclusive/exclusive tables "
+            "and a collapsed-stack export (flamegraph-ready).  See "
             "docs/BENCHMARKING.md."
         ),
     )
@@ -263,68 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "profiled", nargs=argparse.REMAINDER, metavar="COMMAND ...",
-        help="the repro invocation to profile (simulate, compare, or trace)",
+        help="the repro trace invocation to profile",
     )
-
-    p = sub.add_parser(
-        "bench",
-        help="performance trajectory: run suites, compare records, report",
-        description=(
-            "The perf-regression loop of docs/BENCHMARKING.md: `run` "
-            "measures a suite and appends bench records to the JSONL "
-            "history (regenerating the repo-root BENCH_perf.json "
-            "trajectory), `compare` gates a current run against a "
-            "baseline with noise-aware tolerances, `report` renders the "
-            "history."
-        ),
-    )
-    bench_sub = p.add_subparsers(dest="bench_command", required=True)
-
-    b = bench_sub.add_parser("run", help="run a benchmark suite, record results")
-    b.add_argument("--suite", choices=("perf",), default="perf")
-    b.add_argument("--seed", type=int, default=2026)
-    b.add_argument(
-        "--quick", action="store_true",
-        help="test-sized workloads (seconds, for CI smoke and the tests)",
-    )
-    b.add_argument(
-        "--record", metavar="PATH",
-        help="also write this run's records as one bench-run JSON document",
-    )
-    b.add_argument(
-        "--history", metavar="PATH",
-        default="benchmarks/manifests/bench_history.jsonl",
-        help="append-only JSONL history (default: %(default)s; '-' disables)",
-    )
-    b.add_argument(
-        "--trajectory", metavar="PATH", default="BENCH_perf.json",
-        help="regenerated trajectory file (default: %(default)s; '-' disables)",
-    )
-
-    b = bench_sub.add_parser(
-        "compare", help="gate a current bench run against a baseline"
-    )
-    b.add_argument("baseline", help="baseline records (.json run file or .jsonl history)")
-    b.add_argument("current", help="current records (.json run file or .jsonl history)")
-    b.add_argument(
-        "--tolerance", type=float, default=0.35,
-        help="relative movement allowed before a timing regresses "
-             "(default: %(default)s)",
-    )
-    b.add_argument(
-        "--floor", type=float, default=0.005,
-        help="seconds below which timings are noise and skipped "
-             "(default: %(default)s)",
-    )
-    b.add_argument("--format", choices=("text", "md"), default="text")
-
-    b = bench_sub.add_parser("report", help="render the bench history")
-    b.add_argument(
-        "--history", metavar="PATH",
-        default="benchmarks/manifests/bench_history.jsonl",
-    )
-    b.add_argument("--suite", default=None, help="restrict to one suite")
-    b.add_argument("--format", choices=("md", "text"), default="md")
 
     p = sub.add_parser(
         "transient", help="availability over time from a healthy start"
@@ -355,25 +292,32 @@ def _forget_chains() -> None:
     clear_symbolic_cache()
 
 
+@contextmanager
+def _file_errors(action: str, path: str) -> Iterator[None]:
+    """Report an ``OSError`` on ``path`` as a usage error naming the file.
+
+    Wrap no ``print``: a closed stdout's ``BrokenPipeError`` is an
+    ``OSError`` too, and keeps its exit 1.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise ReproError(f"cannot {action} {path}: {exc}") from exc
+
+
 #: Protocol columns of ``repro compare`` (mirrors ``comparison_table``).
 _COMPARE_PROTOCOLS = ("voting", "dynamic", "dynamic-linear", "hybrid")
 
 
 def _scripted_workload(
-    protocol: str,
-    n_sites: int,
-    *,
-    trace: bool = False,
-    causal: bool = False,
-    seed: int = 0,
+    protocol: str, n_sites: int, *, trace: bool = False, seed: int = 0
 ) -> ReplicaCluster:
     """Run the fixed ``repro trace`` workload; returns the settled cluster.
 
     Deterministic by construction (the message network is driven by
     simulated time only): update; fail the highest-named site; update
-    under failure; repair and restart; read.  The tracing knobs are
-    passed through so the same workload serves the rendered trace, the
-    causal-trace modes, and the causal-overhead bench scenario.
+    under failure; repair and restart; read.  ``trace`` records the
+    causal events the rendered trace and the causal-trace modes read.
     """
     from .core import make_protocol
     from .netsim import ReplicaCluster
@@ -384,7 +328,6 @@ def _scripted_workload(
         make_protocol(protocol, sites),
         initial_value="v0",
         trace=trace,
-        causal=causal,
         causal_seed=seed,
     )
     cluster.submit_update(sites[0], "v1")
@@ -427,7 +370,8 @@ def _run_trace(args: argparse.Namespace) -> int:
         return 2
     drop_notice = None  # a full log still ends its transcript with its drops
     if args.input is not None:
-        text = Path(args.input).read_text(encoding="utf-8")
+        with _file_errors("read", args.input):
+            text = Path(args.input).read_text(encoding="utf-8")
         dag = CausalDag.from_jsonl(text)
         if not len(dag):
             raise ObservabilityError(f"{args.input} holds no causal event")
@@ -505,8 +449,8 @@ def _run_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Subcommands `repro profile` may wrap: the workloads worth attributing.
-_PROFILEABLE = ("simulate", "compare", "trace")
+#: Subcommands `repro profile` may wrap: those whose runs close sim-time spans.
+_PROFILEABLE = ("trace",)
 
 
 def _run_profile(args: argparse.Namespace) -> int:
@@ -518,7 +462,7 @@ def _run_profile(args: argparse.Namespace) -> int:
         choices = ", ".join(_PROFILEABLE)
         print(
             f"repro profile: give an invocation to profile ({choices}), "
-            f"e.g. `repro profile simulate --protocol hybrid -n 5`",
+            f"e.g. `repro profile trace --protocol hybrid -n 3`",
             file=sys.stderr,
         )
         return 2
@@ -527,282 +471,22 @@ def _run_profile(args: argparse.Namespace) -> int:
     profiler = SpanProfiler()
     with profiling(profiler):
         code = main(target)
+    if code == 2:  # a usage error: the invocation ran nothing to profile
+        return code
     collapsed = profiler.collapsed_stack()
     print()
     print(profiler.render())
     if args.output:
-        Path(args.output).write_text(
-            collapsed + "\n" if collapsed else "", encoding="utf-8"
-        )
+        with _file_errors("write", args.output):
+            Path(args.output).write_text(
+                collapsed + "\n" if collapsed else "", encoding="utf-8"
+            )
         print(f"wrote collapsed-stack profile {args.output}", file=sys.stderr)
     elif collapsed:
         print()
         print("collapsed stacks (exclusive sim-time, flamegraph-ready):")
         print(collapsed)
     return code
-
-
-def _perf_scenario(
-    suite: str,
-    scenario: str,
-    *,
-    seed: int | None,
-    params: dict,
-    run,
-    timings_from,
-) -> BenchRecord:
-    """Measure one suite scenario under a fresh registry and profiler.
-
-    ``run(registry)`` executes the workload; ``timings_from(result,
-    seconds)`` maps its return value and wall time to the timing table.
-    The scenario's hot-path wall attributions ride along as soft
-    ``profile.<name>_s`` timings, linking the profile to the record.
-    """
-    from .bench import BenchRecord
-    from .obs import MetricsRegistry, SpanProfiler, Stopwatch, profiling, use
-
-    registry = MetricsRegistry()
-    profiler = SpanProfiler()
-    stopwatch = Stopwatch()
-    with use(registry), profiling(profiler):
-        result = run(registry)
-    seconds = max(stopwatch.seconds, 1e-9)
-    timings = dict(timings_from(result, seconds))
-    for name, entry in profiler.wall_table().items():
-        timings[f"profile.{name}_s"] = entry["seconds"]
-    return BenchRecord.collect(
-        suite,
-        scenario,
-        seed=seed,
-        params=params,
-        registry=registry,
-        timings=timings,
-        manifest=f"bench:{scenario}",
-    )
-
-
-def _perf_suite_records(seed: int, quick: bool) -> list[BenchRecord]:
-    """The ``perf`` suite: the fast paths ROADMAP protects, measured.
-
-    The scenarios -- scalar Monte-Carlo, the vectorized backend, the
-    batched Markov grid, the Horner symbolic sweep, the n=25
-    lump-then-solve pipeline (cold build and sparse solve), and the
-    netsim causal overhead -- mirror ``benchmarks/bench_perf_scaling.py``
-    and docs/PERFORMANCE.md.  ``quick`` shrinks the
-    workloads to test size without changing the scenario ids, so quick
-    and full runs still compare (their params differ, which disables the
-    determinism-drift check across the two modes).
-    """
-    from .markov import (
-        availability,
-        availability_grid,
-        availability_symbolic,
-        clear_symbolic_cache,
-    )
-    from .markov.availability import _chain
-    from .obs import Stopwatch
-    from .sim import estimate_availability
-
-    records = []
-    replicates, events, burn = (4, 400, 100) if quick else (6, 4_000, 1_000)
-    mc_params = {
-        "protocol": "hybrid",
-        "n_sites": 5,
-        "ratio": 1.0,
-        "replicates": replicates,
-        "events": events,
-        "burn_in_events": burn,
-        "workers": 1,
-    }
-    records.append(
-        _perf_scenario(
-            "perf",
-            "mc.scalar.hybrid.n5",
-            seed=seed,
-            params={**mc_params, "backend": "scalar"},
-            run=lambda registry: estimate_availability(
-                "hybrid", 5, 1.0,
-                replicates=replicates, events=events, burn_in_events=burn,
-                seed=seed, metrics=registry, workers=1, backend="scalar",
-            ),
-            timings_from=lambda result, seconds: {
-                "wall_s": seconds,
-                "events_per_sec": replicates * (events + burn) / seconds,
-            },
-        )
-    )
-    v_replicates, v_events, v_burn = (
-        (32, 250, 100) if quick else (256, 2_000, 1_000)
-    )
-    records.append(
-        _perf_scenario(
-            "perf",
-            "mc.vectorized.hybrid.n5",
-            seed=seed,
-            params={
-                **mc_params,
-                "backend": "vectorized",
-                "replicates": v_replicates,
-                "events": v_events,
-                "burn_in_events": v_burn,
-            },
-            run=lambda registry: estimate_availability(
-                "hybrid", 5, 1.0,
-                replicates=v_replicates, events=v_events,
-                burn_in_events=v_burn, seed=seed, metrics=registry,
-                workers=1, backend="vectorized",
-            ),
-            timings_from=lambda result, seconds: {
-                "wall_s": seconds,
-                "events_per_sec": v_replicates * (v_events + v_burn) / seconds,
-            },
-        )
-    )
-    grid_points = 50 if quick else 200
-    grid = [0.1 + 19.9 * i / (grid_points - 1) for i in range(grid_points)]
-    grid_protocols = ("dynamic", "dynamic-linear", "hybrid")
-    clear_symbolic_cache()
-    records.append(
-        _perf_scenario(
-            "perf",
-            "markov.grid.batched.n5",
-            seed=None,
-            params={
-                "protocols": list(grid_protocols),
-                "n_sites": 5,
-                "grid_points": grid_points,
-            },
-            run=lambda registry: [
-                availability_grid(name, 5, grid, prefer_symbolic=False)
-                for name in grid_protocols
-            ],
-            timings_from=lambda result, seconds: {
-                "solve_batch_s": seconds,
-                "points_per_sec": len(grid_protocols) * grid_points / seconds,
-            },
-        )
-    )
-    availability_symbolic("hybrid", 5)  # populate the cache outside the timer
-    records.append(
-        _perf_scenario(
-            "perf",
-            "markov.grid.horner.n5",
-            seed=None,
-            params={"protocol": "hybrid", "n_sites": 5, "grid_points": grid_points},
-            run=lambda registry: availability_grid(
-                "hybrid", 5, grid, prefer_symbolic=True
-            ),
-            timings_from=lambda result, seconds: {
-                "horner_sweep_s": seconds,
-                "points_per_sec": grid_points / seconds,
-            },
-        )
-    )
-    clear_symbolic_cache()
-
-    large_points = 10 if quick else 60
-    large_grid = [
-        0.1 + 19.9 * i / (large_points - 1) for i in range(large_points)
-    ]
-    large_protocols = ("dynamic", "hybrid", "optimal-candidate")
-
-    def _lumped_n25(registry: MetricsRegistry) -> list[list[float]]:
-        _chain.cache_clear()  # measure the streaming lumped build too
-        return [
-            availability_grid(name, 25, large_grid, prefer_symbolic=False)
-            for name in large_protocols
-        ]
-
-    records.append(
-        _perf_scenario(
-            "perf",
-            "markov.lumped.n25",
-            seed=None,
-            params={
-                "protocols": list(large_protocols),
-                "n_sites": 25,
-                "grid_points": large_points,
-            },
-            run=_lumped_n25,
-            timings_from=lambda result, seconds: {
-                "lumped_wall_s": seconds,
-                "points_per_sec": (
-                    len(large_protocols) * large_points / seconds
-                ),
-            },
-        )
-    )
-    for name in large_protocols:  # prebuild so only the solve is timed
-        availability(name, 25, 1.0)
-    records.append(
-        _perf_scenario(
-            "perf",
-            "markov.sparse.n25",
-            seed=None,
-            params={
-                "protocols": list(large_protocols),
-                "n_sites": 25,
-                "grid_points": large_points,
-                "solver": "sparse",
-            },
-            run=lambda registry: [
-                availability_grid(
-                    name, 25, large_grid,
-                    prefer_symbolic=False, solver="sparse",
-                )
-                for name in large_protocols
-            ],
-            timings_from=lambda result, seconds: {
-                "sparse_wall_s": seconds,
-                "points_per_sec": (
-                    len(large_protocols) * large_points / seconds
-                ),
-            },
-        )
-    )
-    rounds, reps = (6, 2) if quick else (30, 3)
-
-    def _causal_overhead(registry: MetricsRegistry) -> dict[str, float]:
-        """Min-of-reps wall time of the scripted netsim workload per mode."""
-
-        def batch(trace: bool, causal: bool) -> float:
-            best = float("inf")
-            for _ in range(reps):
-                stopwatch = Stopwatch()
-                for _ in range(rounds):
-                    _scripted_workload(
-                        "hybrid", 5, trace=trace, causal=causal, seed=seed
-                    )
-                best = min(best, stopwatch.seconds)
-            return best
-
-        return {
-            "off": batch(False, False),
-            "trace": batch(True, False),
-            "causal": batch(True, True),
-        }
-
-    records.append(
-        _perf_scenario(
-            "perf",
-            "netsim.causal.overhead.n5",
-            seed=seed,
-            params={
-                "protocol": "hybrid",
-                "n_sites": 5,
-                "rounds": rounds,
-                "reps": reps,
-            },
-            run=_causal_overhead,
-            timings_from=lambda result, seconds: {
-                "netsim_off_s": result["off"],
-                "netsim_trace_s": result["trace"],
-                "netsim_causal_s": result["causal"],
-                "causal_overhead_ratio": result["causal"] / result["trace"],
-            },
-        )
-    )
-    return records
 
 
 def _cmd_theorem3(args: argparse.Namespace) -> int:
@@ -946,71 +630,6 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_run(args: argparse.Namespace) -> int:
-    """``repro bench run``: measure a suite, append history, regenerate."""
-    from .bench import append_records, load_history, write_run, write_trajectory
-
-    records = _perf_suite_records(args.seed, args.quick)
-    for record in records:
-        timings = " ".join(
-            f"{name}={value:.6g}"
-            for name, value in sorted(record.timings.items())
-            if not name.startswith("profile.")
-        )
-        print(f"{record.scenario}: {timings}")
-    if args.record:
-        path = write_run(args.record, records)
-        print(f"wrote bench-run record {path}", file=sys.stderr)
-    if args.history != "-":
-        history_path = append_records(args.history, records)
-        print(f"appended {len(records)} record(s) to {history_path}", file=sys.stderr)
-        if args.trajectory != "-":
-            trajectory = write_trajectory(
-                args.trajectory, load_history(history_path), suite=args.suite
-            )
-            print(f"regenerated trajectory {trajectory}", file=sys.stderr)
-    elif args.trajectory != "-":
-        trajectory = write_trajectory(args.trajectory, records, suite=args.suite)
-        print(f"regenerated trajectory {trajectory}", file=sys.stderr)
-    return 0
-
-
-def _bench_compare(args: argparse.Namespace) -> int:
-    """``repro bench compare``: the regression gate's CLI face."""
-    from .bench import Tolerance, compare_runs, load_records, render_comparison
-
-    tolerance = Tolerance(relative=args.tolerance, floor_seconds=args.floor)
-    comparison = compare_runs(
-        load_records(args.baseline), load_records(args.current), tolerance
-    )
-    print(render_comparison(comparison, args.format))
-    return comparison.exit_code
-
-
-def _bench_report(args: argparse.Namespace) -> int:
-    """``repro bench report``: render the history for humans."""
-    from .bench import load_history, render_history
-
-    records = load_history(args.history)
-    if args.suite is not None:
-        records = [r for r in records if r.suite == args.suite]
-    if not records:
-        print(f"no bench records in {args.history}", file=sys.stderr)
-        return 1
-    print(render_history(records, args.format))
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """``repro bench``: run a suite, compare records, or report history."""
-    verbs = {"run": _bench_run, "compare": _bench_compare, "report": _bench_report}
-    try:
-        return verbs[args.bench_command](args)
-    except (BenchError, OSError) as exc:
-        print(f"repro bench: {exc}", file=sys.stderr)
-        return 2
-
-
 def _cmd_compare(args: argparse.Namespace) -> int:
     """``repro compare``: the availability matrix at fixed n."""
     from .analysis import comparison_table
@@ -1044,7 +663,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     else:
         print(comparison_table(args.sites, args.ratios))
     if registry is not None:
-        path = RunManifest.collect(
+        manifest = RunManifest.collect(
             "compare",
             seed=None,
             protocol={
@@ -1055,7 +674,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             params={"ratios": list(args.ratios), "availability": matrix},
             registry=registry,
             wall_time_s=stopwatch.seconds,
-        ).write(args.manifest)
+        )
+        with _file_errors("write", args.manifest):
+            path = manifest.write(args.manifest)
         print(f"wrote manifest {path}", file=sys.stderr)
     return 0
 
@@ -1098,7 +719,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         print(registry.render())
     if args.manifest:
         assert registry is not None
-        path = RunManifest.collect(
+        manifest = RunManifest.collect(
             "simulate",
             seed=args.seed,
             protocol={"name": args.protocol, "n_sites": args.sites},
@@ -1114,7 +735,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             },
             registry=registry,
             wall_time_s=stopwatch.seconds,
-        ).write(args.manifest)
+        )
+        with _file_errors("write", args.manifest):
+            path = manifest.write(args.manifest)
         print(f"wrote manifest {path}", file=sys.stderr)
     return 0 if result.agrees_with(analytic) else 1
 
@@ -1153,7 +776,8 @@ def _cmd_artifact(args: argparse.Namespace) -> int:
     """``repro artifact``: write the machine-readable results artifact."""
     from .analysis import write_artifact
 
-    results = write_artifact(args.output, n_values=tuple(range(3, args.n_max + 1)))
+    with _file_errors("write", args.output):
+        results = write_artifact(args.output, n_values=tuple(range(3, args.n_max + 1)))
     print(
         f"wrote {args.output}: {len(results['theorem3'])} crossovers, "
         f"{len(results)} sections"
@@ -1179,7 +803,6 @@ _VERBS: dict[str, Callable[[argparse.Namespace], int]] = {
     "trace": _run_trace,
     "validate-manifest": _cmd_validate_manifest,
     "profile": _run_profile,
-    "bench": _cmd_bench,
     "transient": _cmd_transient,
 }
 
@@ -1188,8 +811,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit code.
 
     A library error (:class:`~repro.errors.ReproError`: a protocol without
-    a chain, too few sites, a malformed trace, a backend limit) is a usage
-    error: ``error: ...`` on stderr and exit 2.  A reader that closes
+    a chain, too few sites, a malformed trace, a backend limit) or a file
+    argument that cannot be read or written is a usage error:
+    ``error: ...`` on stderr and exit 2.  A reader that closes
     stdout early (``repro chain ... | head``) ends the command quietly
     with exit code 1, the recipe of Python's ``signal`` documentation for
     SIGPIPE.

@@ -25,7 +25,6 @@ __all__ = [
     "SingularSystemError",
     "ObservabilityError",
     "ManifestError",
-    "BenchError",
     "CheckError",
 ]
 
@@ -100,10 +99,6 @@ class ObservabilityError(ReproError):
 
 class ManifestError(ObservabilityError):
     """A run manifest is malformed or fails schema validation."""
-
-
-class BenchError(ObservabilityError):
-    """A benchmark record, history, or comparison is malformed or misused."""
 
 
 class AlgebraError(ReproError):

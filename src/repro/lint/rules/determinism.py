@@ -25,7 +25,7 @@ RNG_MODULE = "sim/rng.py"
 VECTORIZED_MODULE = "sim/vectorized.py"
 
 #: Directories whose code must never read the wall clock.
-REPLAYABLE_DIRS = ("sim", "netsim", "markov", "obs", "perf", "bench")
+REPLAYABLE_DIRS = ("sim", "netsim", "markov", "obs", "perf")
 
 #: The only module allowed to read the wall clock: telemetry throughput
 #: and manifest timestamps funnel through here (docs/OBSERVABILITY.md).

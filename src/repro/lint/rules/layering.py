@@ -25,9 +25,6 @@ ALLOWED_IMPORTS: dict[str, frozenset[str]] = {
     "types": frozenset({"errors"}),
     "obs": frozenset({"errors", "types"}),
     "perf": frozenset({"errors", "types", "obs"}),
-    # Measurement sits beside perf: bench may read obs/perf but nothing
-    # imports bench, so the gate can never leak into the measured code.
-    "bench": frozenset({"errors", "types", "obs", "perf"}),
     "ratfunc": frozenset({"errors", "types"}),
     "quorums": frozenset({"ratfunc", "errors", "types"}),
     "core": frozenset({"errors", "types"}),

@@ -18,7 +18,6 @@ from fractions import Fraction
 from ..core.registry import make_protocol
 from ..errors import AnalysisError, ChainError
 from ..obs.metrics import global_registry
-from ..obs.profile import hotpath
 from ..ratfunc import Polynomial, RationalFunction
 from ..types import site_names
 from .builder import derive_lumped_chain
@@ -276,12 +275,8 @@ def grid(
             registry.counter("markov.solve.horner").inc()
             registry.histogram("markov.solve.grid_size").observe(len(points))
         symbolic = availability_symbolic(protocol_name, n)
-        with hotpath("markov.grid.horner"):
-            return tuple(symbolic.evaluate_grid(points))
-    with hotpath("markov.grid.batched"):
-        values = _chain(protocol_name, n).availability_grid(
-            points, solver=solver
-        )
+        return tuple(symbolic.evaluate_grid(points))
+    values = _chain(protocol_name, n).availability_grid(points, solver=solver)
     return tuple(float(value) for value in values)
 
 

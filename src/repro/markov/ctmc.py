@@ -28,7 +28,6 @@ import numpy as np
 
 from ..errors import ChainError
 from ..obs.metrics import global_registry
-from ..obs.profile import hotpath
 from ..ratfunc import Polynomial, RationalFunction, bareiss_solve, fraction_solve
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -433,8 +432,7 @@ class ChainSpec:
         a[:, -1, :] = 1.0
         b = np.zeros((grid.size, size))
         b[:, -1] = 1.0
-        with hotpath("markov.solve.batched"):
-            return np.linalg.solve(a, b[:, :, None])[:, :, 0]
+        return np.linalg.solve(a, b[:, :, None])[:, :, 0]
 
     def availability_grid(
         self, ratios: "np.typing.ArrayLike", *, solver: str = "auto"

@@ -40,8 +40,7 @@ the backend this replaced, is kept in ``tests/markov/superlu_reference.py``
 as its oracle.
 
 Telemetry: solves land on the shared ``markov.solve.*`` series (mode
-``sparse``) plus the ``markov.solve.sparse`` hotpath wall timer
-(docs/OBSERVABILITY.md).
+``sparse``, docs/OBSERVABILITY.md).
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from ..obs.profile import hotpath
 from .ctmc import _DENSE_GRID_BUDGET
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -209,10 +207,9 @@ def sparse_steady_state_grid(
     spec._observe_solve("sparse", grid_size=int(grid.size))
     out = np.empty((grid.size, spec.size))
     batch = _batch(levels)
-    with hotpath("markov.solve.sparse"):
-        for first in range(0, grid.size, batch):
-            part = slice(first, first + batch)
-            _reduce(levels, grid[part] * lam, lam, out[part])
+    for first in range(0, grid.size, batch):
+        part = slice(first, first + batch)
+        _reduce(levels, grid[part] * lam, lam, out[part])
     return out
 
 

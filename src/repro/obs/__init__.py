@@ -24,7 +24,7 @@ The observability layer sits just above :mod:`repro.errors` /
   clock (replint REP002 exempts exactly that file).
 * :mod:`repro.obs.profile` -- the deterministic :class:`SpanProfiler`
   (span-forest folding into inclusive/exclusive tables, collapsed-stack
-  export) and the :func:`hotpath` wall timers behind ``repro profile``.
+  export) behind ``repro profile``.
 * :mod:`repro.obs.manifest` -- the :class:`RunManifest` JSON artifact
   (seed, protocol, params, git describe, metric snapshots) with schema
   validation; deterministic modulo :data:`WALL_CLOCK_FIELDS`.
@@ -41,7 +41,7 @@ from .causal import (
     NullCausalTracer,
     derive_trace_id,
 )
-from .clock import Stopwatch, perf_seconds, utc_timestamp, wall_time
+from .clock import Stopwatch, utc_timestamp
 from .manifest import (
     SCHEMA_VERSION,
     WALL_CLOCK_FIELDS,
@@ -63,7 +63,6 @@ from .metrics import (
 from .profile import (
     SpanProfiler,
     active_profiler,
-    hotpath,
     parse_collapsed,
     profiling,
 )
@@ -112,15 +111,12 @@ __all__ = [
     "use",
     "SpanProfiler",
     "active_profiler",
-    "hotpath",
     "parse_collapsed",
     "profiling",
     "TraceEvent",
     "TraceLog",
     "Stopwatch",
-    "perf_seconds",
     "utc_timestamp",
-    "wall_time",
     "RunManifest",
     "SCHEMA_VERSION",
     "WALL_CLOCK_FIELDS",

@@ -20,17 +20,7 @@ from __future__ import annotations
 import time
 from datetime import datetime, timezone
 
-__all__ = ["wall_time", "perf_seconds", "utc_timestamp", "Stopwatch"]
-
-
-def wall_time() -> float:
-    """Seconds since the epoch (``time.time``)."""
-    return time.time()
-
-
-def perf_seconds() -> float:
-    """A monotonic high-resolution reading (``time.perf_counter``)."""
-    return time.perf_counter()
+__all__ = ["utc_timestamp", "Stopwatch"]
 
 
 def utc_timestamp() -> str:

@@ -1,40 +1,29 @@
-"""Deterministic profiling: span-forest folding and hot-path wall timers.
+"""Deterministic profiling: folding sim-time spans into tables.
 
-Two complementary views of where a run spends its time:
-
-* **Sim-time spans.**  :class:`SpanProfiler` folds the spans a causal
-  trace derives (:func:`repro.obs.query.spans`) into per-name
-  **inclusive** (span duration) and **exclusive** (duration minus direct
-  children) time tables, plus per-stack exclusive totals exported in the
-  collapsed-stack text format flamegraph tooling reads
-  (``parent;child value`` lines).  Sim-time durations are a deterministic
-  function of the seed, so two identically-seeded runs produce
-  byte-identical folded profiles -- the property the profile tests pin.
-* **Wall-clock hot paths.**  The analytic fast paths (batched
-  ``np.linalg.solve``, the Horner sweep, the vectorized kernel batches,
-  the process-pool fan-out) do not run on simulated time; they report
-  through :func:`hotpath`, a near-zero-overhead wall timer backed by
-  :mod:`repro.obs.clock`.  Wall attributions are **nondeterministic** and
-  live in a separate table (:meth:`SpanProfiler.wall_table`), mirroring
-  the deterministic/wall-clock split of metric snapshots.
+:class:`SpanProfiler` folds the spans a causal trace derives
+(:func:`repro.obs.query.spans`) into per-name **inclusive** (span
+duration) and **exclusive** (duration minus direct children) time
+tables, plus per-stack exclusive totals exported in the collapsed-stack
+text format flamegraph tooling reads (``parent;child value`` lines).
+Sim-time durations are a deterministic function of the seed, so two
+identically-seeded runs produce byte-identical folded profiles -- the
+property the profile tests pin.
 
 A profiler is installed for a region with :func:`profiling`; while one is
-active every :func:`hotpath` timer records into it, and ``repro trace``
-folds the spans of the run it traced into it.  With no profiler installed
-a timer costs one global read.
-
-``repro profile simulate ...`` runs a CLI invocation under a profiler and
-prints the folded tables (docs/BENCHMARKING.md).
+active ``repro trace`` folds the spans of the run it traced into it.
+``repro profile trace ...`` runs a trace under a profiler and prints the
+folded tables (docs/BENCHMARKING.md).  Wall-clock attribution is not
+measured here: the benchmark's traced launches (``perfbench/``) time the
+program's layers from outside it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
 from ..errors import ObservabilityError
-from . import clock
 
 if TYPE_CHECKING:  # annotations only
     from .query import Span
@@ -43,42 +32,8 @@ __all__ = [
     "SpanProfiler",
     "active_profiler",
     "profiling",
-    "hotpath",
     "parse_collapsed",
 ]
-
-
-class _WallTimer:
-    """Context manager charging elapsed wall time to one hot-path name."""
-
-    __slots__ = ("_profiler", "_name", "_start")
-
-    def __init__(self, profiler: "SpanProfiler", name: str) -> None:
-        self._profiler = profiler
-        self._name = name
-        self._start = 0.0
-
-    def __enter__(self) -> "_WallTimer":
-        self._start = clock.perf_seconds()
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self._profiler._record_wall(self._name, clock.perf_seconds() - self._start)
-
-
-class _NullTimer:
-    """Shared no-op timer returned by :func:`hotpath` when no profiler is on."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        pass
-
-
-_NULL_TIMER = _NullTimer()
 
 
 class SpanProfiler:
@@ -107,12 +62,6 @@ class SpanProfiler:
         # Sim-time charged to already-closed direct children, keyed by the
         # parent span's identity while the parent is still open.
         self._pending_children: dict[int, float] = {}
-        self._wall_seconds: dict[str, float] = {}
-        self._wall_counts: dict[str, int] = {}
-
-    # ------------------------------------------------------------------ #
-    # Sim-time span folding
-    # ------------------------------------------------------------------ #
 
     def fold(self, spans: Iterable[Span]) -> None:
         """Fold every closed span of ``spans``, in order; skip open ones."""
@@ -188,36 +137,8 @@ class SpanProfiler:
             for path, value in sorted(self._stacks.items())
         )
 
-    # ------------------------------------------------------------------ #
-    # Wall-clock hot paths
-    # ------------------------------------------------------------------ #
-
-    def wall(self, name: str) -> _WallTimer:
-        """A context manager charging its wall-clock time to ``name``."""
-        return _WallTimer(self, name)
-
-    def _record_wall(self, name: str, seconds: float) -> None:
-        self._wall_seconds[name] = self._wall_seconds.get(name, 0.0) + seconds
-        self._wall_counts[name] = self._wall_counts.get(name, 0) + 1
-
-    def wall_table(self) -> dict[str, dict[str, float]]:
-        """Wall-clock attribution: ``{name: {seconds, calls}}``, sorted.
-
-        Nondeterministic (machine-shaped) by construction -- keep it out
-        of anything compared across seeded runs, exactly like
-        wall-clock-marked gauges.
-        """
-        return {
-            name: {"seconds": seconds, "calls": self._wall_counts[name]}
-            for name, seconds in sorted(self._wall_seconds.items())
-        }
-
-    # ------------------------------------------------------------------ #
-    # Rendering
-    # ------------------------------------------------------------------ #
-
     def render(self) -> str:
-        """Aligned text report: span tables first, wall hot paths after."""
+        """Aligned text report of the span tables."""
         lines = []
         if self._counts:
             lines.append("sim-time spans (deterministic):")
@@ -234,16 +155,6 @@ class SpanProfiler:
                 )
         else:
             lines.append("sim-time spans: (none closed under the profiler)")
-        if self._wall_seconds:
-            lines.append("")
-            lines.append("wall-clock hot paths (nondeterministic):")
-            width = max(len(name) for name in self._wall_seconds)
-            lines.append(f"  {'name':<{width}}  {'calls':>5}  {'seconds':>10}")
-            for name in sorted(self._wall_seconds):
-                lines.append(
-                    f"  {name:<{width}}  {self._wall_counts[name]:>5}  "
-                    f"{self._wall_seconds[name]:>10.4f}"
-                )
         return "\n".join(lines)
 
 
@@ -284,11 +195,11 @@ def active_profiler() -> SpanProfiler | None:
 
 
 @contextmanager
-def profiling(profiler: SpanProfiler | Mapping | None = None) -> Iterator[SpanProfiler]:
+def profiling(profiler: SpanProfiler | None = None) -> Iterator[SpanProfiler]:
     """Install ``profiler`` (or a fresh one) for the duration of the block.
 
-    While installed, every :func:`hotpath` timer records into it, and
-    ``repro trace`` folds its spans into it.  Restores the previous
+    While installed, ``repro trace`` folds its spans into it; anything
+    but a :class:`SpanProfiler` raises.  Restores the previous
     profiler on exit, including on error; nesting installs work the
     obvious way (innermost wins).
     """
@@ -305,20 +216,3 @@ def profiling(profiler: SpanProfiler | Mapping | None = None) -> Iterator[SpanPr
         yield profiler
     finally:
         _active = previous
-
-
-def hotpath(name: str) -> _WallTimer | _NullTimer:
-    """A wall timer charging ``name`` in the active profiler (no-op when off).
-
-    Usage at an instrumentation site::
-
-        with hotpath("markov.solve.batched"):
-            values = np.linalg.solve(stacked, rhs)
-
-    The disabled cost is one module-global read and a shared singleton,
-    so hot paths need no ``enabled`` guard of their own.
-    """
-    profiler = _active
-    if profiler is None:
-        return _NULL_TIMER
-    return profiler.wall(name)

@@ -43,7 +43,6 @@ from ..core.registry import make_protocol
 from ..errors import SimulationError
 from ..obs.clock import Stopwatch
 from ..obs.metrics import NULL_REGISTRY, MetricsRegistry
-from ..obs.profile import hotpath
 from ..perf.executor import make_executor, resolve_workers
 from ..types import SiteId, site_names
 from .failures import Rates
@@ -380,8 +379,7 @@ def estimate_availability(
             )
             for start in range(0, replicates, width)
         ]
-        with hotpath("mc.fanout.vectorized"):
-            batch_outcomes = executor.map(_run_vector_batch, batch_tasks)
+        batch_outcomes = executor.map(_run_vector_batch, batch_tasks)
         vector_batches = len(batch_outcomes)
         vector_steps = sum(batch.steps for batch in batch_outcomes)
         outcomes = [
@@ -400,8 +398,7 @@ def estimate_availability(
             )
             for index in range(replicates)
         ]
-        with hotpath("mc.fanout.scalar"):
-            outcomes = executor.map(_run_replicate, tasks)
+        outcomes = executor.map(_run_replicate, tasks)
     estimates = [outcome.estimate for outcome in outcomes]
     if registry.enabled:
         # Replay the per-replicate series in replicate order: the

@@ -71,7 +71,6 @@ from ..core.static_voting import (
 )
 from ..core.variants import ModifiedHybridProtocol, OptimalCandidateProtocol
 from ..errors import SimulationError
-from ..obs.profile import hotpath
 from ..types import site_names
 from .failures import Rates
 from .rng import derive_seed
@@ -516,18 +515,17 @@ class VectorizedReplicaBatch:
         replicates = self.replicates
         remaining = events
         chunk_cap = max(1, _CHUNK_BUDGET // (2 * replicates))
-        with hotpath("mc.vectorized.steps"):
-            while remaining > 0:
-                chunk = min(remaining, chunk_cap)
-                # One (chunk, 2) draw per replicate, stacked to (R, chunk, 2):
-                # each generator is consumed sequentially, so chunking never
-                # changes a replicate's stream.
-                uniforms = np.stack(
-                    [gen.random((chunk, 2)) for gen in self._generators]
-                )
-                for t in range(chunk):
-                    self._step(uniforms[:, t, 0], uniforms[:, t, 1], accumulate)
-                remaining -= chunk
+        while remaining > 0:
+            chunk = min(remaining, chunk_cap)
+            # One (chunk, 2) draw per replicate, stacked to (R, chunk, 2):
+            # each generator is consumed sequentially, so chunking never
+            # changes a replicate's stream.
+            uniforms = np.stack(
+                [gen.random((chunk, 2)) for gen in self._generators]
+            )
+            for t in range(chunk):
+                self._step(uniforms[:, t, 0], uniforms[:, t, 1], accumulate)
+            remaining -= chunk
 
     def _step(
         self, u_wait: np.ndarray, u_pick: np.ndarray, accumulate: bool

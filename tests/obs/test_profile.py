@@ -10,11 +10,9 @@ from repro.obs import (
     Span,
     SpanProfiler,
     active_profiler,
-    hotpath,
     parse_collapsed,
     profiling,
 )
-from repro.obs.profile import _NULL_TIMER
 
 
 def _folded_forest() -> SpanProfiler:
@@ -127,26 +125,3 @@ class TestProfilingContext:
         assert main(["trace", "-n", "3"]) == 0
         capsys.readouterr()
         assert profiler.counts() == {"catch-up": 1, "in-doubt": 7, "run": 4, "vote": 4}
-
-
-class TestHotpath:
-    def test_null_timer_when_off(self):
-        assert hotpath("markov.solve.batched") is _NULL_TIMER
-
-    def test_wall_attribution_accumulates(self):
-        with profiling() as profiler:
-            for _ in range(3):
-                with hotpath("markov.solve.batched"):
-                    pass
-        table = profiler.wall_table()
-        assert list(table) == ["markov.solve.batched"]
-        assert table["markov.solve.batched"]["calls"] == 3
-        assert table["markov.solve.batched"]["seconds"] >= 0.0
-
-    def test_wall_paths_stay_out_of_sim_tables(self):
-        with profiling() as profiler:
-            with hotpath("mc.fanout.scalar"):
-                pass
-        assert profiler.inclusive() == {}
-        assert profiler.total() == 0.0
-        assert profiler.collapsed_stack() == ""
