@@ -7,7 +7,7 @@ the assertions the benchmarks pin) and writes a consolidated transcript to
 Section IV example, the Theorem 3 table with its n=5 symbolic proof, the
 Figs. 3-4 series, the Section VII results, and the extension studies.
 
-Run:  python examples/full_reproduction.py   (a few minutes)
+Run:  python examples/full_reproduction.py   (about 1 s on a 2-core x86_64 VM)
 """
 
 import io

@@ -191,7 +191,7 @@ def _run_replay(path: str, as_json: bool) -> int:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"repro check: cannot read {path}: {exc}", file=sys.stderr)
         return 2
     violation, config = replay_schedule(text)

@@ -294,14 +294,14 @@ def _forget_chains() -> None:
 
 @contextmanager
 def _file_errors(action: str, path: str) -> Iterator[None]:
-    """Report an ``OSError`` on ``path`` as a usage error naming the file.
+    """Report ``path`` as a usage error when it cannot be opened or decoded.
 
     Wrap no ``print``: a closed stdout's ``BrokenPipeError`` is an
     ``OSError`` too, and keeps its exit 1.
     """
     try:
         yield
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ReproError(f"cannot {action} {path}: {exc}") from exc
 
 

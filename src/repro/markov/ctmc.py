@@ -19,10 +19,10 @@ otherwise (the paper's site measure).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -452,21 +452,18 @@ class ChainSpec:
     # ------------------------------------------------------------------ #
 
     def steady_state_exact(self, ratio: Fraction) -> dict[State, Fraction]:
-        """Stationary distribution at a rational ratio, exactly."""
+        """Stationary distribution at a rational ratio, exactly.
+
+        At ``ratio = p/q`` each balance equation is scaled by *q*, so the
+        system is integer: an arc of multiplicities (f, r) has rate
+        ``f*q + r*p``.
+        """
         ratio = Fraction(ratio)
         if ratio <= 0:
             raise ChainError(f"repair/failure ratio must be positive: {ratio}")
         self._observe_solve("exact")
-        size = len(self._states)
-        a = [[Fraction(0)] * size for _ in range(size)]
-        for (i, j), (f, r) in self._arcs.items():
-            rate = Fraction(f) + Fraction(r) * ratio
-            a[j][i] += rate       # transposed: column balance equations
-            a[i][i] -= rate
-        for j in range(size):
-            a[size - 1][j] = Fraction(1)
-        b = [Fraction(0)] * size
-        b[-1] = Fraction(1)
+        p, q = ratio.numerator, ratio.denominator
+        a, b = self._balance_system(lambda f, r: f * q + r * p)
         pi = fraction_solve(a, b)
         return dict(zip(self._states, pi))
 
@@ -474,7 +471,7 @@ class ChainSpec:
         """Site availability at a rational ratio, exactly."""
         pi = self.steady_state_exact(Fraction(ratio))
         return sum(
-            (self._weights[s] * p for s, p in pi.items()), start=Fraction(0)
+            (w * pi[s] for s, w in self._weights.items() if w), start=Fraction(0)
         )
 
     # ------------------------------------------------------------------ #
@@ -488,31 +485,53 @@ class ChainSpec:
         (availability depends on the rates only through their ratio) and
         solved by fraction-free elimination.
         """
-        self._observe_solve("symbolic")
-        size = len(self._states)
-        zero = Polynomial()
-        a = [[zero] * size for _ in range(size)]
-        for (i, j), (f, r) in self._arcs.items():
-            rate = Polynomial.linear(f, r)
-            a[j][i] = a[j][i] + rate
-            a[i][i] = a[i][i] - rate
-        ones = Polynomial.constant(1)
-        for j in range(size):
-            a[size - 1][j] = ones
-        b = [zero] * size
-        b[-1] = ones
-        pi = bareiss_solve(a, b)
-        return dict(zip(self._states, pi))
+        numerators, determinant = self._symbolic_solve()
+        return {
+            state: RationalFunction(numerator, determinant)
+            for state, numerator in zip(self._states, numerators)
+        }
 
     def availability_symbolic(self) -> RationalFunction:
-        """Site availability as an exact rational function of r."""
-        pi = self.steady_state_symbolic()
-        total = RationalFunction(Polynomial())
-        for state, probability in pi.items():
+        """Site availability as an exact rational function of r.
+
+        One reduction: ``sum w(s) * X(s) / D`` over the fraction-free
+        solution ``pi(s) = X(s) / D``.
+        """
+        numerators, determinant = self._symbolic_solve()
+        total = Polynomial()
+        for state, numerator in zip(self._states, numerators):
             weight = self._weights[state]
             if weight:
-                total = total + probability * RationalFunction.constant(weight)
-        return total
+                total = total + numerator * weight
+        return RationalFunction(total, determinant)
+
+    def _symbolic_solve(self) -> tuple[list[Polynomial], Polynomial]:
+        """Bareiss's ``(numerators, determinant)``; rates ``f + r*x`` as ``(f, r)``."""
+        self._observe_solve("symbolic")
+        return bareiss_solve(*self._balance_system(lambda f, r: (f, r)))
+
+    def _balance_system(
+        self, rate: Callable[[int, int], Any]
+    ) -> tuple[list[list[Any]], list[int]]:
+        """The transposed generator, its last row replaced by ones: ``(A, b)``.
+
+        ``rate(f, r)`` is the entry of an arc with multiplicities (f, r); a
+        diagonal entry is ``rate`` of the negated sums of its state's
+        outgoing multiplicities.  Every other entry is the integer 0.
+        """
+        size = len(self._states)
+        a: list[list[Any]] = [[0] * size for _ in range(size)]
+        out = [[0, 0] for _ in range(size)]
+        for (i, j), (f, r) in self._arcs.items():
+            a[j][i] = rate(f, r)  # transposed: column balance equations
+            out[i][0] += f
+            out[i][1] += r
+        for i, (f, r) in enumerate(out):
+            a[i][i] = rate(-f, -r)
+        a[size - 1] = [1] * size
+        b = [0] * size
+        b[-1] = 1
+        return a, b
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ChainSpec {self.name!r}: {self.size} states, {len(self._arcs)} arcs>"

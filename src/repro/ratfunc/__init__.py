@@ -5,12 +5,15 @@ provided here with :class:`fractions.Fraction` exactness:
 
 * :class:`Polynomial` / :class:`RationalFunction` -- the symbolic values.
 * :func:`bareiss_solve` -- symbolic solution of the balance equations
-  (Maple's ``solve``).
+  (Maple's ``solve``), as Bareiss's fraction-free pair ``(numerators,
+  determinant)`` of integer-coefficient polynomials.
 * :func:`fraction_solve` -- exact evaluation at rational ratios (Maple's
   "computed exactly using rational arithmetic" verification step).
 * :func:`bisect_root`, :func:`count_positive_roots`,
   :func:`isolate_positive_roots` -- certified root work (Maple's ``fsolve``
   plus the Descartes/Collins-Loos uniqueness argument).
+
+The two linear solvers eliminate on integer rows (:mod:`repro.ratfunc.linsolve`).
 """
 
 from .linsolve import bareiss_solve, fraction_solve

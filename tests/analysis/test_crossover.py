@@ -74,7 +74,7 @@ class TestPaperTableSpotChecks:
 
 
 class TestUniqueness:
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", range(3, 11))
     def test_single_positive_crossing(self, n):
         certificate = uniqueness_certificate("hybrid", "dynamic-linear", n)
         assert certificate["positive_roots_sturm"] == 1

@@ -56,10 +56,11 @@ class TestProofConstruction:
         with pytest.raises(AnalysisError):
             theorem3_proof(2)
 
-    @pytest.mark.parametrize("n", [3, 4, 6])
+    @pytest.mark.parametrize("n", [3, 4, 6, 7, 8, 9, 10])
     def test_other_sizes(self, n):
         proof = theorem3_proof(n)
         proof.verify()
+        assert proof.sturm_positive_roots == 1
         assert abs(proof.crossover - PAPER_CROSSOVERS[n]) <= 0.011
 
 

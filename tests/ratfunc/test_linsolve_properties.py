@@ -14,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AlgebraError, SingularSystemError
-from repro.ratfunc import Polynomial, bareiss_solve, fraction_solve
+from repro.ratfunc import Polynomial, RationalFunction, bareiss_solve, fraction_solve
 
 coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 linear_polys = st.builds(Polynomial.linear, coefficients, coefficients)
@@ -29,12 +29,18 @@ def systems(draw, size=3):
     return matrix, rhs
 
 
+def bareiss_rational(matrix, rhs):
+    """:func:`bareiss_solve`'s fraction-free pair as rational functions."""
+    xs, d = bareiss_solve(matrix, rhs)
+    return [RationalFunction(x, d) for x in xs]
+
+
 @given(system=systems(), point=st.fractions(min_value=-3, max_value=3, max_denominator=6))
 @settings(max_examples=60, deadline=None)
 def test_symbolic_solution_evaluates_to_pointwise_solution(system, point):
     matrix, rhs = system
     try:
-        symbolic = bareiss_solve(matrix, rhs)
+        symbolic = bareiss_rational(matrix, rhs)
     except SingularSystemError:
         return
     evaluated_matrix = [[entry(point) for entry in row] for row in matrix]
@@ -54,11 +60,9 @@ def test_symbolic_solution_evaluates_to_pointwise_solution(system, point):
 @given(system=systems(size=2))
 @settings(max_examples=60, deadline=None)
 def test_bareiss_solution_satisfies_the_system(system):
-    from repro.ratfunc import RationalFunction
-
     matrix, rhs = system
     try:
-        solution = bareiss_solve(matrix, rhs)
+        solution = bareiss_rational(matrix, rhs)
     except SingularSystemError:
         return
     for row, b in zip(matrix, rhs):

@@ -17,7 +17,7 @@ from repro import markov
 from repro.analysis import PAPER_CROSSOVERS
 from repro.errors import SingularSystemError
 from repro.markov import ctmc
-from repro.ratfunc import Polynomial, bareiss_solve, fraction_solve
+from repro.ratfunc import Polynomial, RationalFunction, bareiss_solve, fraction_solve
 
 from .dense_reference import dense_bareiss_solve, dense_fraction_solve
 
@@ -53,6 +53,12 @@ def zero_heavy_systems(draw, nonzeros, zero):
     return [row[:n] for row in augmented], [row[n] for row in augmented]
 
 
+def bareiss_rational(matrix, rhs):
+    """:func:`bareiss_solve`'s fraction-free pair as rational functions."""
+    xs, d = bareiss_solve(matrix, rhs)
+    return [RationalFunction(x, d) for x in xs]
+
+
 def solve_or_singular(solver, matrix, rhs):
     try:
         return solver(matrix, rhs)
@@ -73,7 +79,7 @@ def test_fraction_solve_matches_dense_reference(system):
 @settings(max_examples=100, deadline=None)
 def test_bareiss_solve_matches_dense_reference(system):
     matrix, rhs = system
-    assert solve_or_singular(bareiss_solve, matrix, rhs) == solve_or_singular(
+    assert solve_or_singular(bareiss_rational, matrix, rhs) == solve_or_singular(
         dense_bareiss_solve, matrix, rhs
     )
 

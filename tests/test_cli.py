@@ -281,17 +281,26 @@ class TestLibraryErrors:
             ("write", ["compare", "-n", "3", "-r", "1", "--manifest", "PATH"]),
             ("write", ["profile", "--output", "PATH", "trace", "-n", "3"]),
             ("write", ["artifact", "--n-max", "3", "--output", "PATH"]),
+            ("read", ["trace", "--input", "BINARY"]),
+            ("read", ["trace", "causal", "--input", "BINARY"]),
+            ("read", ["trace", "critical-path", "--input", "BINARY"]),
+            ("read", ["trace", "assert", "--input", "BINARY"]),
         ],
     )
     def test_file_argument_that_cannot_be_opened(
         self, tmp_path, capsys, action, argv
     ):
         # One error line and exit 2, no traceback; a file in a missing
-        # directory can be neither read nor written.
+        # directory can be neither read nor written, and a file that is
+        # not UTF-8 cannot be read.
         path = tmp_path / "missing" / "file.json"
-        assert main([str(path) if arg == "PATH" else arg for arg in argv]) == 2
+        binary = tmp_path / "binary.jsonl"
+        binary.write_bytes(b"\xff\xfe\x00{\x80\n")
+        named = {"PATH": path, "BINARY": binary}
+        assert main([str(named.get(arg, arg)) for arg in argv]) == 2
         (line,) = capsys.readouterr().err.splitlines()
-        assert line.startswith(f"error: cannot {action} {path}: ")
+        target = binary if "BINARY" in argv else path
+        assert line.startswith(f"error: cannot {action} {target}: ")
         assert not path.parent.exists()
 
 
@@ -369,6 +378,18 @@ class TestCheckCommand:
         capsys.readouterr()
         assert main(["check", "--replay", str(artifact)]) == 0
         assert "reproduced" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["missing", "binary"])
+    def test_replay_file_that_cannot_be_read(self, tmp_path, capsys, kind):
+        path = tmp_path / "missing" / "fork.jsonl"
+        if kind == "binary":
+            path = tmp_path / "fork.jsonl"
+            path.write_bytes(b"\xff\xfe\x00{\x80\n")
+        assert main(["check", "--replay", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"repro check: cannot read {path}: ")
 
     def test_unknown_protocol_is_a_usage_error(self, capsys):
         assert main(["check", "--protocol", "nope"]) == 2

@@ -17,6 +17,7 @@ FAST_EXAMPLES = [
     "partition_scenario.py",
     "message_level_cluster.py",
     "custom_protocol.py",
+    "availability_study.py",
 ]
 
 
